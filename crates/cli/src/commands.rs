@@ -576,7 +576,7 @@ fn restore_cmd(opts: &Options, out: &mut impl Write) -> Result<(), String> {
                 } else {
                     ""
                 },
-                frame.records.len(),
+                frame.len(),
                 bytes.len()
             )
             .map_err(io_err)?;

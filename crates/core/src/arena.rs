@@ -691,30 +691,29 @@ impl<H: Hasher64 + FromSeed> FleetArena<H> {
     /// sparse position below `m`, and the caller
     /// ([`crate::WindowedFleet::absorb_delta_from`]) has verified the
     /// frame's dimensioning matches this arena's.
-    pub(crate) fn or_apply_delta(&mut self, key: u64, body: &crate::codec::DeltaBody) -> u64 {
+    pub(crate) fn or_apply_delta(&mut self, key: u64, body: crate::codec::DeltaBody<'_>) -> u64 {
         let slot = self.slot_for(key);
-        let base = slot * self.stride;
-        let mut newly = 0usize;
-        match body {
+        let words = &mut self.words[slot * self.stride..(slot + 1) * self.stride];
+        let newly = match body {
             crate::codec::DeltaBody::Runs(runs) => {
                 let kernels = sbitmap_bitvec::kernels::WordKernels::dispatched();
-                for run in runs {
-                    let start = base + run.start as usize;
-                    let dst = &mut self.words[start..start + run.words.len()];
-                    newly += kernels.union_or_count(dst, &run.words);
-                }
+                runs.map(|(start, run)| {
+                    let start = start as usize;
+                    kernels.union_or_count(&mut words[start..start + run.len()], run)
+                })
+                .sum()
             }
             crate::codec::DeltaBody::Sparse(positions) => {
+                let mut newly = 0usize;
                 for &pos in positions {
-                    let w = base + (pos as usize >> 6);
+                    let word = &mut words[pos as usize >> 6];
                     let bit = 1u64 << (pos & 63);
-                    if self.words[w] & bit == 0 {
-                        self.words[w] |= bit;
-                        newly += 1;
-                    }
+                    newly += usize::from(*word & bit == 0);
+                    *word |= bit;
                 }
+                newly
             }
-        }
+        };
         self.fills[slot] += newly;
         newly as u64
     }
@@ -955,8 +954,7 @@ impl<H: Hasher64 + FromSeed> Checkpoint for FleetArena<H> {
         let sampling_bits = r.u32()?;
         let seed = r.u64()?;
         let count = r.len_u64()?;
-        let dims = crate::dimensioning::Dimensioning::from_memory(n_max, m)?;
-        let schedule = Arc::new(RateSchedule::new(dims, sampling_bits)?);
+        let schedule = RateSchedule::shared(n_max, m, sampling_bits)?;
         let mut fleet = FleetArena::with_schedule(schedule, seed);
         for _ in 0..count {
             let key = r.u64()?;

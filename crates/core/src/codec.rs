@@ -58,12 +58,9 @@
 //! the hasher type the caller names (defaulting to `SplitMix64Hasher`
 //! everywhere in this workspace), reseeded from the embedded seed.
 
-use std::sync::Arc;
-
 use sbitmap_bitvec::Bitmap;
 use sbitmap_hash::{xxh64, FromSeed, Hasher64};
 
-use crate::dimensioning::Dimensioning;
 use crate::schedule::RateSchedule;
 use crate::sketch::SBitmap;
 use crate::SBitmapError;
@@ -82,6 +79,7 @@ const V2_HEADER_LEN: usize = 6;
 /// Trailing XXH64 checksum.
 const CHECKSUM_LEN: usize = 8;
 
+#[cold]
 fn fail(msg: impl Into<String>) -> SBitmapError {
     SBitmapError::invalid("checkpoint", msg.into())
 }
@@ -377,25 +375,25 @@ pub struct Frame<'a> {
 
 /// Wrap `payload` in a v2 frame (magic, version, kind tag, checksum).
 pub fn frame(kind: CounterKind, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(V2_HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION_2);
-    out.push(kind.tag());
+    let mut out = open_frame(VERSION_2, kind, payload.len());
     out.extend_from_slice(payload);
-    let checksum = xxh64(&out, 0);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    seal_frame(out)
+}
+
+/// A frame's header (magic, version, kind tag) in a buffer with room
+/// for `payload_len` more bytes and the checksum. v3 frames share the
+/// v2 layout; only the version byte differs, so v2-only peers reject
+/// them at the header.
+fn open_frame(version: u8, kind: CounterKind, payload_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(V2_HEADER_LEN + payload_len + CHECKSUM_LEN);
+    out.extend_from_slice(MAGIC);
+    out.push(version);
+    out.push(kind.tag());
     out
 }
 
-/// Wrap a fleet-delta payload in a v3 frame (version 3, fleet-delta
-/// kind tag, checksum). The outer layout matches [`frame`]; only the
-/// version byte differs, so v2-only peers reject it at the header.
-fn frame_v3(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(V2_HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION_3);
-    out.push(CounterKind::FleetDelta.tag());
-    out.extend_from_slice(payload);
+/// Append the XXH64 (seed 0) of everything written so far.
+fn seal_frame(mut out: Vec<u8>) -> Vec<u8> {
     let checksum = xxh64(&out, 0);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
@@ -573,111 +571,82 @@ fn varint_len(v: u64) -> usize {
 const DELTA_MODE_RUNS: u8 = 0;
 /// Record body mode: sparse varint-gap bit positions.
 const DELTA_MODE_SPARSE: u8 = 1;
+/// Wire bytes of the v3 payload header: n_max · m · d · seed · epoch ·
+/// round · count.
+const DELTA_HEADER_LEN: usize = 48;
+/// Wire bytes of a record's fixed head: key u64 · bits u32 · mode u8.
+const RECORD_HEAD_LEN: usize = 13;
 
-/// One run of consecutive bitmap words inside a [`DeltaBody::Runs`]
-/// record: `words` covers word indices `start .. start + words.len()`
-/// of the key's bitmap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaRun {
-    /// First word index the run covers.
-    pub start: u32,
-    /// The run's word values (at least one).
-    pub words: Vec<u64>,
+/// Where one record's body lives in its frame's shared arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RecordHeader {
+    key: u64,
+    bits: u32,
+    mode: u8,
+    /// Sparse: the positions are `spans[lo..hi]`. Runs: `spans[lo..hi]`
+    /// holds one `(start, len)` pair per run.
+    lo: usize,
+    hi: usize,
+    /// Runs: the run words, back to back in run order (empty for
+    /// sparse records).
+    word_lo: usize,
+    word_hi: usize,
 }
 
-/// The payload of one per-key delta record — the bits newly set since
-/// the previous round, in whichever of the two codings was smaller on
-/// the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeltaBody {
-    /// Word-level runs: zero words between runs are elided (the RLE
-    /// side of the coding — dense late-epoch deltas).
-    Runs(Vec<DeltaRun>),
-    /// Strictly increasing bit positions, varint-gap coded on the wire
-    /// (sparse early-epoch deltas).
-    Sparse(Vec<u32>),
-}
-
-/// One key's delta record inside a [`FleetDeltaFrame`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaRecord {
+/// One key's delta record, borrowed from a [`FleetDeltaFrame`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaRecord<'a> {
     /// The fleet key (link id).
     pub key: u64,
     /// Total set bits the body carries (validated against the decoded
     /// body, so a forged header cannot skew fill accounting).
     pub bits: u32,
     /// The coded bits.
-    pub body: DeltaBody,
+    pub body: DeltaBody<'a>,
 }
 
-impl DeltaRecord {
-    /// Build the record for `delta_words` (the key's newly-set bits as
-    /// a full-stride word image), choosing whichever coding is smaller:
-    /// word runs for dense deltas, varint positions for sparse ones.
-    pub fn from_delta_words(key: u64, delta_words: &[u64]) -> Self {
-        let mut bits = 0u32;
-        // Run coding cost: 8 bytes (start + len) per run, 8 per word.
-        let mut run_cost = 0usize;
-        let mut in_run = false;
-        for &w in delta_words {
-            bits += w.count_ones();
-            if w != 0 {
-                if !in_run {
-                    run_cost += 8;
-                    in_run = true;
-                }
-                run_cost += 8;
-            } else {
-                in_run = false;
-            }
-        }
-        // Sparse coding cost: one varint per set bit (gap coded).
-        let mut sparse_cost = 0usize;
-        let mut last = 0u64;
-        let mut first = true;
-        for (wi, &w) in delta_words.iter().enumerate() {
-            let mut w = w;
-            while w != 0 {
-                let pos = (wi as u64) * 64 + u64::from(w.trailing_zeros());
-                let gap = if first { pos } else { pos - last };
-                sparse_cost += varint_len(gap);
-                last = pos;
-                first = false;
-                w &= w - 1;
-            }
-        }
-        let body = if sparse_cost <= run_cost + 4 {
-            // +4: the runs mode also pays its run-count field.
-            let mut positions = Vec::with_capacity(bits as usize);
-            for (wi, &w) in delta_words.iter().enumerate() {
-                let mut w = w;
-                while w != 0 {
-                    positions.push(wi as u32 * 64 + w.trailing_zeros());
-                    w &= w - 1;
-                }
-            }
-            DeltaBody::Sparse(positions)
-        } else {
-            let mut runs: Vec<DeltaRun> = Vec::new();
-            for (wi, &w) in delta_words.iter().enumerate() {
-                if w == 0 {
-                    continue;
-                }
-                match runs.last_mut() {
-                    Some(run) if run.start as usize + run.words.len() == wi => {
-                        run.words.push(w);
-                    }
-                    _ => runs.push(DeltaRun {
-                        start: wi as u32,
-                        words: vec![w],
-                    }),
-                }
-            }
-            DeltaBody::Runs(runs)
-        };
-        Self { key, bits, body }
+/// The body of one per-key delta record — the bits newly set since the
+/// previous round, in whichever of the two codings was smaller on the
+/// wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaBody<'a> {
+    /// Word-level runs: zero words between runs are elided (the RLE
+    /// side of the coding — dense late-epoch deltas).
+    Runs(DeltaRuns<'a>),
+    /// Strictly increasing bit positions, varint-gap coded on the wire
+    /// (sparse early-epoch deltas).
+    Sparse(&'a [u32]),
+}
+
+/// The runs of a [`DeltaBody::Runs`] record, in ascending order: each
+/// item is `(start, words)`, covering word indices `start ..
+/// start + words.len()` of the key's bitmap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaRuns<'a> {
+    /// `(start, len)` pairs.
+    spans: &'a [u32],
+    /// Every run's words, back to back.
+    words: &'a [u64],
+}
+
+impl<'a> Iterator for DeltaRuns<'a> {
+    type Item = (u32, &'a [u64]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (&[start, len], spans) = self.spans.split_first_chunk::<2>()?;
+        let (run, words) = self.words.split_at(len as usize);
+        self.spans = spans;
+        self.words = words;
+        Some((start, run))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.spans.len() / 2;
+        (n, Some(n))
     }
 }
+
+impl ExactSizeIterator for DeltaRuns<'_> {}
 
 /// A wire-v3 incremental fleet frame: the bits one shard newly set for
 /// its keys during one *round* of one epoch, delta-coded against the
@@ -700,6 +669,14 @@ impl DeltaRecord {
 /// first and are rejected with [`SBitmapError::MissingBaseline`]
 /// otherwise — before any O(m) work.
 ///
+/// In memory the frame is flat: three arrays — fixed-size record
+/// headers, one `u32` array of every sparse position and run
+/// `(start, len)` pair, one `u64` array of every run word — so
+/// decoding, absorbing and dropping a frame costs a constant number of
+/// allocations however many records it carries, and building one never
+/// allocates per record. [`FleetDeltaFrame::records`] borrows the
+/// records back as [`DeltaRecord`] views.
+///
 /// Byte layout (payload; the outer v3 frame adds magic/version/tag and
 /// the trailing XXH64) — see `docs/wire-format.md` for the normative
 /// spec:
@@ -711,7 +688,7 @@ impl DeltaRecord {
 /// body(0) = runs u32 · runs × (start u32 · len u32 · words u64×len)
 /// body(1) = bits × varint   (first absolute position, then gaps)
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FleetDeltaFrame {
     /// Dimensioning `n_max` of the shard's schedule.
     pub n_max: u64,
@@ -727,8 +704,39 @@ pub struct FleetDeltaFrame {
     /// `u32::MAX` is reserved (the receiver's full-frame sentinel) and
     /// rejected on the wire.
     pub round: u32,
-    /// Per-key records, strictly ascending by key.
-    pub records: Vec<DeltaRecord>,
+    /// Per-key record headers, in push (wire) order.
+    records: Vec<RecordHeader>,
+    /// Sparse positions and run `(start, len)` pairs of every record.
+    spans: Vec<u32>,
+    /// Run words of every record.
+    words: Vec<u64>,
+    /// Wire bytes of all records, heads and bodies — `encode` sizes its
+    /// output from it (exactly, unless a decoded frame arrived with
+    /// over-long varints, which `encode` writes canonically).
+    records_len: usize,
+}
+
+/// Frames are equal when their headers and records are: how the records
+/// sit in the arrays, and how long their varints were on the wire, do
+/// not count.
+impl PartialEq for FleetDeltaFrame {
+    fn eq(&self, other: &Self) -> bool {
+        (
+            self.n_max,
+            self.m,
+            self.sampling_bits,
+            self.seed,
+            self.epoch,
+            self.round,
+        ) == (
+            other.n_max,
+            other.m,
+            other.sampling_bits,
+            other.seed,
+            other.epoch,
+            other.round,
+        ) && self.records().eq(other.records())
+    }
 }
 
 impl FleetDeltaFrame {
@@ -750,6 +758,9 @@ impl FleetDeltaFrame {
             epoch,
             round,
             records: Vec::new(),
+            spans: Vec::new(),
+            words: Vec::new(),
+            records_len: 0,
         }
     }
 
@@ -758,16 +769,118 @@ impl FleetDeltaFrame {
         self.round == 0
     }
 
-    /// Append the record for `key`'s newly-set bits (callers push keys
-    /// in ascending order — encode asserts it).
-    pub fn push(&mut self, key: u64, delta_words: &[u64]) {
-        self.records
-            .push(DeltaRecord::from_delta_words(key, delta_words));
+    /// Number of per-key records.
+    pub fn len(&self) -> usize {
+        self.records.len()
     }
 
-    /// Serialize into a framed, checksummed v3 frame.
+    /// `true` when the frame carries no record.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The per-key records in wire order, borrowed from the flat arrays.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = DeltaRecord<'_>> + '_ {
+        self.records.iter().map(|h| {
+            let spans = &self.spans[h.lo..h.hi];
+            let body = if h.mode == DELTA_MODE_SPARSE {
+                DeltaBody::Sparse(spans)
+            } else {
+                DeltaBody::Runs(DeltaRuns {
+                    spans,
+                    words: &self.words[h.word_lo..h.word_hi],
+                })
+            };
+            DeltaRecord {
+                key: h.key,
+                bits: h.bits,
+                body,
+            }
+        })
+    }
+
+    /// Append the record for `key`'s newly-set bits, given as a
+    /// full-stride word image (callers push keys in ascending order —
+    /// encode asserts it). Picks whichever coding is smaller on the
+    /// wire: word runs for dense deltas, varint positions for sparse
+    /// ones; the set bits are walked at most once.
+    pub fn push(&mut self, key: u64, delta_words: &[u64]) {
+        let (lo, word_lo) = (self.spans.len(), self.words.len());
+        let mut bits = 0u32;
+        // Run coding cost: 8 bytes (start + len) per run, 8 per word.
+        let mut run_cost = 0usize;
+        let mut in_run = false;
+        for &w in delta_words {
+            bits += w.count_ones();
+            if w != 0 {
+                run_cost += if in_run { 8 } else { 16 };
+            }
+            in_run = w != 0;
+        }
+        // Sparse costs at least one varint byte per set bit, and the
+        // runs mode also pays its 4-byte run-count field: only price
+        // (and stage) the positions when sparse can still win.
+        let mut body_len = None;
+        if bits as usize <= run_cost + 4 {
+            let mut sparse_cost = 0usize;
+            let mut last = 0u64;
+            for (wi, &w) in delta_words.iter().enumerate() {
+                let mut w = w;
+                while w != 0 {
+                    let pos = (wi as u64) * 64 + u64::from(w.trailing_zeros());
+                    // The first gap is the absolute position (last = 0).
+                    sparse_cost += varint_len(pos - last);
+                    last = pos;
+                    self.spans.push(pos as u32);
+                    w &= w - 1;
+                }
+            }
+            if sparse_cost <= run_cost + 4 {
+                body_len = Some(sparse_cost);
+            } else {
+                self.spans.truncate(lo);
+            }
+        }
+        let mode = if let Some(len) = body_len {
+            self.records_len += RECORD_HEAD_LEN + len;
+            DELTA_MODE_SPARSE
+        } else {
+            let mut in_run = false;
+            for (wi, &w) in delta_words.iter().enumerate() {
+                if w != 0 {
+                    if in_run {
+                        *self.spans.last_mut().expect("open run") += 1;
+                    } else {
+                        self.spans.extend([wi as u32, 1]);
+                    }
+                    self.words.push(w);
+                }
+                in_run = w != 0;
+            }
+            self.records_len += RECORD_HEAD_LEN + 4 + run_cost;
+            DELTA_MODE_RUNS
+        };
+        self.records.push(RecordHeader {
+            key,
+            bits,
+            mode,
+            lo,
+            hi: self.spans.len(),
+            word_lo,
+            word_hi: self.words.len(),
+        });
+    }
+
+    /// Serialize into a framed, checksummed v3 frame (one allocation,
+    /// sized exactly).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::default();
+        let mut w = PayloadWriter {
+            buf: open_frame(
+                VERSION_3,
+                CounterKind::FleetDelta,
+                DELTA_HEADER_LEN + self.records_len,
+            ),
+        };
         w.u64(self.n_max);
         w.u64(self.m as u64);
         w.u32(self.sampling_bits);
@@ -776,7 +889,7 @@ impl FleetDeltaFrame {
         w.u32(self.round);
         w.u64(self.records.len() as u64);
         let mut last: Option<u64> = None;
-        for rec in &self.records {
+        for rec in self.records() {
             assert!(
                 last.is_none_or(|l| rec.key > l),
                 "delta records must be strictly ascending by key"
@@ -784,30 +897,28 @@ impl FleetDeltaFrame {
             last = Some(rec.key);
             w.u64(rec.key);
             w.u32(rec.bits);
-            match &rec.body {
+            match rec.body {
                 DeltaBody::Runs(runs) => {
                     w.u8(DELTA_MODE_RUNS);
                     w.u32(runs.len() as u32);
-                    for run in runs {
-                        w.u32(run.start);
-                        w.u32(run.words.len() as u32);
-                        w.words(&run.words);
+                    for (start, words) in runs {
+                        w.u32(start);
+                        w.u32(words.len() as u32);
+                        w.words(words);
                     }
                 }
                 DeltaBody::Sparse(positions) => {
                     w.u8(DELTA_MODE_SPARSE);
                     let mut last_pos = 0u64;
-                    let mut first = true;
                     for &pos in positions {
                         let pos = u64::from(pos);
-                        w.varint(if first { pos } else { pos - last_pos });
+                        w.varint(pos - last_pos);
                         last_pos = pos;
-                        first = false;
                     }
                 }
             }
         }
-        frame_v3(&w.into_inner())
+        seal_frame(w.into_inner())
     }
 
     /// Verify and decode a v3 frame.
@@ -818,8 +929,13 @@ impl FleetDeltaFrame {
     /// runs must be ascending and non-overlapping within the stride,
     /// sparse positions strictly increasing below `m`, no run word may
     /// set a bit at or beyond `m`, and the per-record `bits` header
-    /// must equal the popcount of the decoded body. Decode allocates
-    /// proportional to the wire size, never to a claimed length.
+    /// must equal the popcount of the decoded body.
+    ///
+    /// One pass over the bytes validates and fills the flat arrays.
+    /// Their sizes are bounded by the wire bytes left after the record
+    /// heads (a sparse position takes at least one byte, a run word
+    /// eight), so decode makes three allocations reserved up front —
+    /// never more, and never proportional to a claimed length.
     ///
     /// # Errors
     ///
@@ -840,7 +956,6 @@ impl FleetDeltaFrame {
         if m == 0 {
             return Err(fail("delta frame declares m = 0"));
         }
-        let stride = m.div_ceil(64);
         let sampling_bits = r.u32()?;
         let seed = r.u64()?;
         let epoch = r.u64()?;
@@ -849,11 +964,25 @@ impl FleetDeltaFrame {
             return Err(fail("round index u32::MAX is reserved"));
         }
         let count = r.len_u64()?;
-        // Every record is at least key + bits + mode = 13 bytes.
-        if count > r.remaining() / 13 {
+        if count > r.remaining() / RECORD_HEAD_LEN {
             return Err(fail("record count exceeds the payload"));
         }
-        let mut records = Vec::with_capacity(count);
+        // Everything past the record heads is body bytes, and they bound
+        // both arrays: a sparse position takes at least one of them, a
+        // run's (start, len) pair eight, a run word eight.
+        let body_bytes = r.remaining() - count * RECORD_HEAD_LEN;
+        let mut frame = Self {
+            n_max,
+            m,
+            sampling_bits,
+            seed,
+            epoch,
+            round,
+            records: Vec::with_capacity(count),
+            spans: Vec::with_capacity(body_bytes),
+            words: Vec::with_capacity(body_bytes / 8),
+            records_len: r.remaining(),
+        };
         let mut last_key: Option<u64> = None;
         for _ in 0..count {
             let key = r.u64()?;
@@ -866,87 +995,123 @@ impl FleetDeltaFrame {
                 return Err(fail("record declares more set bits than m"));
             }
             let mode = r.u8()?;
-            let body = match mode {
-                DELTA_MODE_RUNS => {
-                    let runs = r.u32()? as usize;
-                    // Every run is at least start + len + one word.
-                    if runs > r.remaining() / 16 {
-                        return Err(fail("run count exceeds the payload"));
-                    }
-                    let mut out = Vec::with_capacity(runs);
-                    let mut cursor = 0usize;
-                    let mut pop = 0u64;
-                    for _ in 0..runs {
-                        let start = r.u32()? as usize;
-                        let len = r.u32()? as usize;
-                        if len == 0 {
-                            return Err(fail("empty run"));
-                        }
-                        if start < cursor {
-                            return Err(fail("runs must be ascending and non-overlapping"));
-                        }
-                        let end = start
-                            .checked_add(len)
-                            .filter(|&e| e <= stride)
-                            .ok_or_else(|| fail("run extends past the bitmap"))?;
-                        if len > r.remaining() / 8 {
-                            return Err(fail("run length exceeds the payload"));
-                        }
-                        let words = r.words(len)?;
-                        if end == stride && m % 64 != 0 {
-                            let tail_mask = !((1u64 << (m % 64)) - 1);
-                            if words[len - 1] & tail_mask != 0 {
-                                return Err(fail("run sets bits at or beyond m"));
-                            }
-                        }
-                        pop += words.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-                        cursor = end;
-                        out.push(DeltaRun {
-                            start: start as u32,
-                            words,
-                        });
-                    }
-                    if pop != u64::from(bits) {
-                        return Err(fail("bits header disagrees with run payload"));
-                    }
-                    DeltaBody::Runs(out)
-                }
-                DELTA_MODE_SPARSE => {
-                    // Every position is at least one varint byte.
-                    if bits as usize > r.remaining() {
-                        return Err(fail("position count exceeds the payload"));
-                    }
-                    let mut positions = Vec::with_capacity(bits as usize);
-                    let mut pos = 0u64;
-                    for i in 0..bits {
-                        let gap = r.varint()?;
-                        if i > 0 && gap == 0 {
-                            return Err(fail("sparse positions must be strictly increasing"));
-                        }
-                        pos = pos
-                            .checked_add(gap)
-                            .ok_or_else(|| fail("sparse position overflows"))?;
-                        if pos >= m as u64 {
-                            return Err(fail("sparse position at or beyond m"));
-                        }
-                        positions.push(pos as u32);
-                    }
-                    DeltaBody::Sparse(positions)
-                }
+            let (lo, word_lo) = (frame.spans.len(), frame.words.len());
+            match mode {
+                DELTA_MODE_RUNS => frame.read_runs(&mut r, bits)?,
+                DELTA_MODE_SPARSE => frame.read_sparse(&mut r, bits)?,
                 other => return Err(fail(format!("unknown delta body mode {other}"))),
-            };
-            records.push(DeltaRecord { key, bits, body });
+            }
+            frame.records.push(RecordHeader {
+                key,
+                bits,
+                mode,
+                lo,
+                hi: frame.spans.len(),
+                word_lo,
+                word_hi: frame.words.len(),
+            });
         }
         r.finish()?;
-        Ok(Self {
-            n_max,
-            m,
-            sampling_bits,
-            seed,
-            epoch,
-            round,
-            records,
-        })
+        Ok(frame)
+    }
+
+    /// Decode one runs-mode body onto the flat arrays.
+    fn read_runs(&mut self, r: &mut PayloadReader<'_>, bits: u32) -> Result<(), SBitmapError> {
+        let m = self.m;
+        let stride = m.div_ceil(64);
+        let runs = r.u32()? as usize;
+        // Every run is at least start + len + one word. (The arrays were
+        // reserved for the frame's body bytes, which back every run of
+        // a valid frame; a body reaching into later records' heads is
+        // refused here rather than growing them.)
+        if runs > r.remaining() / 16 || 2 * runs > self.spans.capacity() - self.spans.len() {
+            return Err(fail("run count exceeds the payload"));
+        }
+        let mut cursor = 0usize;
+        let mut pop = 0u64;
+        for _ in 0..runs {
+            let start = r.u32()?;
+            let len = r.u32()?;
+            if len == 0 {
+                return Err(fail("empty run"));
+            }
+            if (start as usize) < cursor {
+                return Err(fail("runs must be ascending and non-overlapping"));
+            }
+            let end = (start as usize)
+                .checked_add(len as usize)
+                .filter(|&e| e <= stride)
+                .ok_or_else(|| fail("run extends past the bitmap"))?;
+            if len as usize > r.remaining() / 8
+                || len as usize > self.words.capacity() - self.words.len()
+            {
+                return Err(fail("run length exceeds the payload"));
+            }
+            let raw = r.take(len as usize * 8)?;
+            let first = self.words.len();
+            self.words.extend(
+                raw.chunks_exact(8)
+                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
+            );
+            let run = &self.words[first..];
+            if end == stride && !m.is_multiple_of(64) {
+                let tail_mask = !((1u64 << (m % 64)) - 1);
+                if run[run.len() - 1] & tail_mask != 0 {
+                    return Err(fail("run sets bits at or beyond m"));
+                }
+            }
+            pop += sbitmap_bitvec::kernels::popcount_slice(run) as u64;
+            cursor = end;
+            self.spans.extend([start, len]);
+        }
+        if pop != u64::from(bits) {
+            return Err(fail("bits header disagrees with run payload"));
+        }
+        Ok(())
+    }
+
+    /// Decode one sparse-mode body onto the flat arrays.
+    fn read_sparse(&mut self, r: &mut PayloadReader<'_>, bits: u32) -> Result<(), SBitmapError> {
+        // Every position is at least one varint byte (of the body bytes
+        // the arrays were reserved for, see `read_runs`).
+        if bits as usize > r.remaining() || bits as usize > self.spans.capacity() - self.spans.len()
+        {
+            return Err(fail("position count exceeds the payload"));
+        }
+        let m = self.m as u64;
+        let mut pos = 0u64;
+        let mut at = r.pos;
+        for i in 0..bits {
+            let gap = match r.bytes.get(at..at + 2) {
+                // A one- or two-byte varint (every gap when m <= 16384),
+                // decoded with no branch on which: sparse gaps mix the
+                // two lengths unpredictably.
+                Some(&[b0, b1]) if b0 & b1 & 0x80 == 0 => {
+                    let two = b0 >> 7;
+                    at += 1 + usize::from(two);
+                    u64::from(b0 & 0x7f)
+                        | (u64::from(b1 & 0x7f) << 7) & u64::from(two).wrapping_neg()
+                }
+                _ => {
+                    r.pos = at;
+                    let gap = r.varint()?;
+                    at = r.pos;
+                    gap
+                }
+            };
+            if i > 0 && gap == 0 {
+                return Err(fail("sparse positions must be strictly increasing"));
+            }
+            // `pos < m` on entry, so this is `pos + gap >= m` without
+            // the overflow.
+            if gap >= m - pos {
+                return Err(fail("sparse position at or beyond m"));
+            }
+            pos += gap;
+            self.spans.push(pos as u32);
+        }
+        r.pos = at;
+        Ok(())
     }
 }
 
@@ -979,9 +1144,8 @@ impl<H: Hasher64 + FromSeed> Checkpoint for SBitmap<H> {
         if bitmap.count_ones() != fill {
             return Err(fail("fill counter disagrees with bitmap"));
         }
-        let dims = Dimensioning::from_memory(n_max, m)?;
-        let schedule = RateSchedule::new(dims, sampling_bits)?;
-        let mut sketch = SBitmap::with_shared_schedule(Arc::new(schedule), H::from_seed(seed));
+        let schedule = RateSchedule::shared(n_max, m, sampling_bits)?;
+        let mut sketch = SBitmap::with_shared_schedule(schedule, H::from_seed(seed));
         sketch.restore_state(bitmap, fill);
         Ok(sketch)
     }
@@ -1191,6 +1355,13 @@ mod tests {
         assert!(PayloadReader::new(&[0x80]).varint().is_err());
     }
 
+    /// Wrap a fleet-delta payload in a v3 frame.
+    fn frame_v3(payload: &[u8]) -> Vec<u8> {
+        let mut out = open_frame(VERSION_3, CounterKind::FleetDelta, payload.len());
+        out.extend_from_slice(payload);
+        seal_frame(out)
+    }
+
     /// A delta frame over two keys: one sparse-shaped, one dense-shaped.
     fn delta_frame() -> FleetDeltaFrame {
         let mut f = FleetDeltaFrame::new(100_000, 256, 32, 9, 4, 1);
@@ -1209,10 +1380,11 @@ mod tests {
     #[test]
     fn delta_frame_round_trips() {
         let f = delta_frame();
-        assert!(matches!(f.records[0].body, DeltaBody::Sparse(_)));
-        assert!(matches!(f.records[1].body, DeltaBody::Runs(_)));
-        assert_eq!(f.records[0].bits, 4);
-        assert_eq!(f.records[1].bits, 255);
+        let records: Vec<DeltaRecord<'_>> = f.records().collect();
+        assert!(matches!(records[0].body, DeltaBody::Sparse(_)));
+        assert!(matches!(records[1].body, DeltaBody::Runs(_)));
+        assert_eq!(records[0].bits, 4);
+        assert_eq!(records[1].bits, 255);
         let bytes = f.encode();
         let (version, kind) = peek_kind(&bytes).unwrap();
         assert_eq!(version, 3);
@@ -1224,20 +1396,45 @@ mod tests {
     }
 
     #[test]
+    fn over_long_varints_decode_to_an_equal_frame() {
+        let mut pushed = FleetDeltaFrame::new(1_000, 64, 32, 1, 2, 1);
+        pushed.push(5, &[0b1010]);
+        let mut payload = Vec::new();
+        for v in [1_000u64, 64] {
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+        payload.extend_from_slice(&32u32.to_le_bytes());
+        for v in [1u64, 2] {
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&5u64.to_le_bytes());
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        payload.push(DELTA_MODE_SPARSE);
+        // Positions 1 and 3: gap 1 over-long as 0x81 0x00, then gap 2.
+        payload.extend_from_slice(&[0x81, 0x00, 0x02]);
+        let back = FleetDeltaFrame::decode(&frame_v3(&payload)).unwrap();
+        assert_eq!(back, pushed);
+        assert_eq!(back.encode(), pushed.encode(), "canonical re-encode");
+    }
+
+    #[test]
     fn empty_and_baseline_delta_frames_round_trip() {
         // An all-empty round frame (no records) is legal — it keeps the
         // per-round frame count deterministic.
         let f = FleetDeltaFrame::new(1_000, 63, 32, 1, 0, 3);
         let back = FleetDeltaFrame::decode(&f.encode()).unwrap();
-        assert!(back.records.is_empty());
+        assert!(back.is_empty());
         assert!(!back.is_baseline());
         // A baseline with an empty record (key touched, no bits yet).
         let mut f = FleetDeltaFrame::new(1_000, 63, 32, 1, 0, 0);
         f.push(42, &[0]);
         let back = FleetDeltaFrame::decode(&f.encode()).unwrap();
         assert!(back.is_baseline());
-        assert_eq!(back.records[0].bits, 0);
-        assert_eq!(back.records[0].body, DeltaBody::Sparse(vec![]));
+        let rec = back.records().next().unwrap();
+        assert_eq!(rec.bits, 0);
+        assert_eq!(rec.body, DeltaBody::Sparse(&[]));
     }
 
     #[test]

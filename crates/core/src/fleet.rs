@@ -323,8 +323,7 @@ impl<H: Hasher64 + FromSeed> Checkpoint for SketchFleet<H> {
         let sampling_bits = r.u32()?;
         let seed = r.u64()?;
         let count = r.len_u64()?;
-        let dims = crate::dimensioning::Dimensioning::from_memory(n_max, m)?;
-        let schedule = Arc::new(RateSchedule::new(dims, sampling_bits)?);
+        let schedule = RateSchedule::shared(n_max, m, sampling_bits)?;
         let mut fleet = SketchFleet::with_schedule(schedule.clone(), seed);
         for _ in 0..count {
             let key = r.u64()?;

@@ -69,7 +69,7 @@
 //! scan never resynchronizes past one.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use sbitmap_hash::xxh64;
@@ -358,10 +358,9 @@ pub fn scan_segment_bytes(bytes: &[u8]) -> Result<SegmentScan, JournalError> {
 /// [`JournalError::Io`] on read failure, [`JournalError::Corrupt`] on
 /// an invalid header.
 pub fn read_segment(path: &Path) -> Result<SegmentScan, JournalError> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| io_err(&format!("read {}", path.display()), &e))?;
+    // `fs::read` sizes the buffer from the file's length: one read, no
+    // regrowth copies of a multi-megabyte segment.
+    let bytes = fs::read(path).map_err(|e| io_err(&format!("read {}", path.display()), &e))?;
     scan_segment_bytes(&bytes)
 }
 

@@ -74,7 +74,7 @@ pub mod theory;
 pub mod window;
 
 pub use arena::FleetArena;
-pub use codec::{Checkpoint, CounterKind, DeltaBody, DeltaRecord, DeltaRun, FleetDeltaFrame};
+pub use codec::{Checkpoint, CounterKind, DeltaBody, DeltaRecord, DeltaRuns, FleetDeltaFrame};
 pub use concurrent::ConcurrentSBitmap;
 pub use counter::{BatchedCounter, DistinctCounter, KeyedEstimates, MergeableCounter};
 pub use dimensioning::Dimensioning;

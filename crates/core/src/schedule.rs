@@ -20,6 +20,8 @@
 //! curve (`t_b`, see [`RateSchedule::estimate_at`]), ≈ `2m × 8` bytes
 //! total.
 
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
 use crate::dimensioning::Dimensioning;
 use crate::SBitmapError;
 use sbitmap_hash::HashSplit;
@@ -95,6 +97,48 @@ impl RateSchedule {
             Dimensioning::from_memory(n_max, m)?,
             Self::DEFAULT_SAMPLING_BITS,
         )
+    }
+
+    /// The schedule for `(n_max, m, sampling_bits)`, shared with every
+    /// other live user of the same configuration.
+    ///
+    /// Building a schedule is O(m) (≈ 0.7 ms at `m = 8000`), and every
+    /// checkpoint restore needs one; this is the path restores take.
+    /// The process-wide cache holds only [`Weak`] handles, so a
+    /// schedule lives exactly as long as its last user, and entries
+    /// whose users are gone are pruned on every miss — a stream of
+    /// distinct (say, hostile) configurations cannot grow it past the
+    /// number of schedules actually alive. The build runs outside the
+    /// cache lock.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dimensioning::from_memory`] and [`RateSchedule::new`].
+    pub fn shared(n_max: u64, m: usize, sampling_bits: u32) -> Result<Arc<Self>, SBitmapError> {
+        type Entry = ((u64, usize, u32), Weak<RateSchedule>);
+        static CACHE: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
+        let key = (n_max, m, sampling_bits);
+        let lookup = |cache: &[Entry]| {
+            cache
+                .iter()
+                .find(|(k, _)| *k == key)
+                .and_then(|(_, w)| w.upgrade())
+        };
+        if let Some(hit) = lookup(&CACHE.lock().unwrap_or_else(PoisonError::into_inner)) {
+            return Ok(hit);
+        }
+        let built = Arc::new(Self::new(
+            Dimensioning::from_memory(n_max, m)?,
+            sampling_bits,
+        )?);
+        let mut cache = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+        // Another thread may have built the same one meanwhile.
+        if let Some(hit) = lookup(&cache) {
+            return Ok(hit);
+        }
+        cache.retain(|(_, w)| w.strong_count() > 0);
+        cache.push((key, Arc::downgrade(&built)));
+        Ok(built)
     }
 
     /// Convenience: schedule from `(n_max, epsilon)` with default `d`.
@@ -181,6 +225,31 @@ fn raw_rate(dims: &Dimensioning, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shared_schedules_are_one_per_live_configuration() {
+        // A configuration no other test uses, so nothing else keeps it
+        // alive.
+        let (n_max, m) = (123_457, 1_001);
+        let a = RateSchedule::shared(n_max, m, 32).unwrap();
+        let b = RateSchedule::shared(n_max, m, 32).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        let other = RateSchedule::shared(n_max, m, 31).unwrap();
+        assert!(!Arc::ptr_eq(&a, &other));
+        assert_eq!(other.split().sampling_bits(), 31);
+        // Identical to a private build.
+        let fresh = RateSchedule::new(Dimensioning::from_memory(n_max, m).unwrap(), 32).unwrap();
+        assert_eq!(*a.dims(), *fresh.dims());
+        assert!((1..=m).all(|k| a.threshold(k) == fresh.threshold(k)));
+        assert!((0..=m).all(|b| a.estimate_at(b).to_bits() == fresh.estimate_at(b).to_bits()));
+        // The cache never outlives the users.
+        let weak = Arc::downgrade(&a);
+        drop((a, b));
+        assert!(weak.upgrade().is_none());
+        // Errors are not cached either.
+        assert!(RateSchedule::shared(0, m, 32).is_err());
+        assert!(RateSchedule::shared(n_max, m, 0).is_err());
+    }
 
     fn sched() -> RateSchedule {
         RateSchedule::from_memory(1 << 20, 4000).unwrap()

@@ -987,8 +987,8 @@ impl<H: Hasher64 + FromSeed> WindowedFleet<H> {
             });
         }
         self.check_guard_capacity(slot, frame.epoch)?;
-        for rec in &frame.records {
-            self.ring[slot].or_apply_delta(rec.key, &rec.body);
+        for rec in frame.records() {
+            self.ring[slot].or_apply_delta(rec.key, rec.body);
         }
         self.seen[slot].insert((source, frame.round));
         Ok(AbsorbOutcome::Absorbed)
@@ -1089,8 +1089,7 @@ impl<H: Hasher64 + FromSeed> Checkpoint for WindowedFleet<H> {
         if live > window || live as u64 > next_epoch {
             return Err(fail("live epoch count exceeds the window"));
         }
-        let dims = crate::dimensioning::Dimensioning::from_memory(n_max, m)?;
-        let schedule = Arc::new(RateSchedule::new(dims, sampling_bits)?);
+        let schedule = RateSchedule::shared(n_max, m, sampling_bits)?;
         let mut fleet = WindowedFleet::with_schedule(schedule, seed, window)?;
         if budget > 0 {
             fleet = fleet.with_epoch_items(budget)?;

@@ -345,9 +345,10 @@ fn wait_done(
     }
 }
 
-/// Decode a replicated record's sketch payload the same way the ingest
-/// path does, refusing envelopes that disagree with their contents.
-fn decode_payload(rec: &journal::JournalRecord) -> Result<JobPayload, ()> {
+/// Decode a replicated or journaled record's sketch payload the same
+/// way the ingest path does, refusing envelopes that disagree with
+/// their contents.
+pub(crate) fn decode_payload(rec: &journal::JournalRecord) -> Result<JobPayload, ()> {
     let (_, kind) = codec::peek_kind(&rec.payload).map_err(|_| ())?;
     match kind {
         CounterKind::SketchFleet => {

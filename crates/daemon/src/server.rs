@@ -36,11 +36,11 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sbitmap_core::codec::{self, Checkpoint};
+use sbitmap_core::codec::Checkpoint;
 use sbitmap_core::journal::{self, JournalConfig, JournalRecord, JournalWriter};
 use sbitmap_core::{
-    AbsorbOutcome, CounterKind, FleetArena, FleetDeltaFrame, KeyedEstimates, RateSchedule,
-    SBitmapError, WindowedFleet,
+    AbsorbOutcome, FleetArena, FleetDeltaFrame, KeyedEstimates, RateSchedule, SBitmapError,
+    WindowedFleet,
 };
 use sbitmap_stream::net::{
     ConfigEcho, ErrorCode, FrameReader, Message, NetError, NodeRole, QueryReply, QueryRequest,
@@ -524,7 +524,8 @@ impl Daemon {
             return Err("credits and queue_frames must be at least 1".into());
         }
         let schedule =
-            Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).map_err(|e| e.to_string())?);
+            RateSchedule::shared(cfg.n_max, cfg.m_bits, RateSchedule::DEFAULT_SAMPLING_BITS)
+                .map_err(|e| e.to_string())?;
         // The echo template carries term 0; every handshake stamps the
         // live term in with `with_term`.
         let echo = ConfigEcho {
@@ -964,36 +965,26 @@ fn replay_journal(shared: &Shared, d: &Durability) {
 /// skipped (undecodable, resealed, or out of range) and the ring is
 /// exactly as it was before the call.
 fn replay_record(shared: &Shared, rec: &JournalRecord) -> Result<AbsorbOutcome, ()> {
-    let (_, kind) = codec::peek_kind(&rec.payload).map_err(|_| ())?;
+    // Decode before taking the ring lock, the way the live path does:
+    // the ring only ever sees validated frames.
+    let payload = crate::replica::decode_payload(rec)?;
     let mut ring = lock_ring(&shared.ring);
     let current = ring.current_epoch();
-    if rec.epoch > current && rec.epoch - current > MAX_EPOCH_JUMP {
-        return Err(());
+    if rec.epoch > current {
+        if rec.epoch - current > MAX_EPOCH_JUMP {
+            return Err(());
+        }
+        ring.advance_to(rec.epoch).map_err(|_| ())?;
     }
-    match kind {
-        CounterKind::SketchFleet => {
-            let fleet = <FleetArena as Checkpoint>::restore(&rec.payload).map_err(|_| ())?;
-            if rec.epoch > current {
-                ring.advance_to(rec.epoch).map_err(|_| ())?;
-            }
-            ring.absorb_epoch_from(rec.source, rec.epoch, &fleet)
-                .map_err(|_| ())
-        }
-        CounterKind::FleetDelta => {
-            let frame = FleetDeltaFrame::decode(&rec.payload).map_err(|_| ())?;
-            if frame.epoch != rec.epoch {
-                return Err(());
-            }
-            if rec.epoch > current {
-                ring.advance_to(rec.epoch).map_err(|_| ())?;
-            }
-            // The replay variant: the journal's causal order guarantees
-            // the baseline preceded this delta, but the snapshot may
-            // have absorbed (and truncated) its record, so the live
-            // baseline check would spuriously refuse the chain.
-            ring.absorb_delta_replay(rec.source, &frame).map_err(|_| ())
-        }
-        _ => Err(()),
+    match payload {
+        JobPayload::Full(fleet) => ring
+            .absorb_epoch_from(rec.source, rec.epoch, &fleet)
+            .map_err(|_| ()),
+        // The replay variant: the journal's causal order guarantees
+        // the baseline preceded this delta, but the snapshot may have
+        // absorbed (and truncated) its record, so the live baseline
+        // check would spuriously refuse the chain.
+        JobPayload::Delta(frame) => ring.absorb_delta_replay(rec.source, &frame).map_err(|_| ()),
     }
 }
 

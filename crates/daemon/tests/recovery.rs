@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use sbitmap_core::codec::Checkpoint;
 use sbitmap_core::journal::{self, JournalConfig, JournalRecord, JournalWriter};
-use sbitmap_core::{FleetArena, RateSchedule, WindowedFleet};
+use sbitmap_core::{AbsorbOutcome, FleetArena, FleetDeltaFrame, RateSchedule, WindowedFleet};
 use sbitmap_daemon::{Daemon, DaemonConfig, DaemonReport};
 
 const N_MAX: u64 = 50_000;
@@ -226,4 +226,92 @@ fn record_older_than_the_snapshot_is_skipped_untouched() {
     );
     assert_eq!(report.estimates, snapshot.estimates());
     assert_eq!(report.final_checkpoint, snapshot.checkpoint());
+}
+
+/// One epoch's v3 round chain for `keys`, encoded.
+fn delta_chain(keys: &[u64], rounds: u32) -> Vec<Vec<u8>> {
+    let schedule = schedule();
+    let mut arena: FleetArena = FleetArena::with_schedule(schedule.clone(), SEED);
+    let stride = M_BITS.div_ceil(64);
+    let mut prev = vec![vec![0u64; stride]; keys.len()];
+    let mut out = Vec::new();
+    for round in 0..rounds {
+        let mut frame = FleetDeltaFrame::new(
+            N_MAX,
+            M_BITS,
+            schedule.split().sampling_bits(),
+            SEED,
+            0,
+            round,
+        );
+        for (i, &key) in keys.iter().enumerate() {
+            arena.touch(key);
+            for item in 0..(40 + 30 * u64::from(round)) {
+                arena.insert_u64(key, key * 100_000 + u64::from(round) * 1_000 + item);
+            }
+            let words = arena.slot_words(key).unwrap();
+            let delta: Vec<u64> = words.iter().zip(&prev[i]).map(|(w, p)| w ^ p).collect();
+            frame.push(key, &delta);
+            prev[i].copy_from_slice(words);
+        }
+        out.push(frame.encode());
+    }
+    out
+}
+
+#[test]
+fn resealed_delta_records_are_skipped_with_the_ring_untouched() {
+    let dir = scratch_dir("delta-reseal");
+    let chain = delta_chain(&[2, 5, 9], 3);
+    // Every payload byte of the last round, mutated and resealed with a
+    // valid inner checksum, so each reaches the delta decoder (most are
+    // refused there, a few — a changed key, say — decode and absorb).
+    let last = &chain[2];
+    let body = &last[..last.len() - 8];
+    let mut records = vec![
+        record(1, 0, chain[0].clone()),
+        record(1, 0, chain[1].clone()),
+    ];
+    for i in 0..body.len() {
+        let mut evil = body.to_vec();
+        evil[i] ^= 0x24;
+        let checksum = sbitmap_hash::xxh64(&evil, 0);
+        evil.extend_from_slice(&checksum.to_le_bytes());
+        records.push(record(2, 0, evil));
+    }
+    records.push(record(1, 0, last.clone()));
+    {
+        let mut w = JournalWriter::create(&dir, &jcfg(), 0, 1, false).unwrap();
+        for rec in &records {
+            w.append(rec).unwrap();
+        }
+    }
+    // The reference replays record by record as recovery does, and
+    // checks that every refused record left the ring byte-identical.
+    let mut ring: WindowedFleet = WindowedFleet::with_schedule(schedule(), SEED, WINDOW).unwrap();
+    let (mut replayed, mut skipped) = (0u64, 0u64);
+    for rec in &records {
+        let before = ring.checkpoint();
+        let absorbed = FleetDeltaFrame::decode(&rec.payload)
+            .ok()
+            .filter(|f| f.epoch == rec.epoch)
+            .map(|f| ring.absorb_delta_replay(rec.source, &f));
+        if let Some(Ok(AbsorbOutcome::Absorbed)) = absorbed {
+            replayed += 1;
+        } else {
+            skipped += 1;
+            assert_eq!(
+                ring.checkpoint(),
+                before,
+                "a skipped record touched the ring"
+            );
+        }
+    }
+    assert!(skipped > records.len() as u64 / 2, "{skipped} skipped");
+
+    let report = recover(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(report.replayed_records, replayed);
+    assert_eq!(report.replay_skipped, skipped);
+    assert_eq!(report.final_checkpoint, ring.checkpoint());
 }

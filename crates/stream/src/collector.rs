@@ -1214,7 +1214,7 @@ mod tests {
                 // Round 0 is a baseline carrying every shard link.
                 let baseline = FleetDeltaFrame::decode(&ef.deltas[0]).unwrap();
                 assert!(baseline.is_baseline());
-                assert_eq!(baseline.records.len(), shard_links);
+                assert_eq!(baseline.len(), shard_links);
                 for (r, delta) in ef.deltas.iter().enumerate() {
                     let frame = FleetDeltaFrame::decode(delta).unwrap();
                     assert_eq!(frame.epoch, *epoch);

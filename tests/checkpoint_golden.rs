@@ -13,6 +13,9 @@ use sbitmap::core::codec::{self, peek_kind, CounterKind};
 use sbitmap::core::{AbsorbOutcome, FleetDeltaFrame, SBitmapError};
 use sbitmap::{Checkpoint, DistinctCounter, FleetArena, RateSchedule, SBitmap, WindowedFleet};
 
+#[path = "support/delta_oracle.rs"]
+mod delta_oracle;
+
 fn unhex(s: &str) -> Vec<u8> {
     (0..s.len())
         .step_by(2)
@@ -278,7 +281,7 @@ fn golden_v3_chain_decodes_and_reencodes_bit_identically() {
         assert_eq!(frame.m, 130);
         assert_eq!(frame.is_baseline(), round == 0);
         assert_eq!(
-            frame.records.iter().map(|r| r.key).collect::<Vec<_>>(),
+            frame.records().map(|r| r.key).collect::<Vec<_>>(),
             CHAIN_KEYS,
             "every round of this chain touches every key"
         );
@@ -292,6 +295,26 @@ fn golden_v3_chain_decodes_and_reencodes_bit_identically() {
     {
         assert_eq!(frame.encode(), unhex(hex));
     }
+}
+
+#[test]
+fn golden_v3_chain_decodes_like_the_tree_oracle() {
+    for hex in [GOLDEN_V3_ROUND0, GOLDEN_V3_ROUND1, GOLDEN_V3_ROUND2] {
+        // Same verdict and the same records from the flat decoder and
+        // the tree decoder it replaced.
+        delta_oracle::decode_both(&unhex(hex)).unwrap();
+    }
+}
+
+#[test]
+fn restores_of_one_configuration_share_one_schedule() {
+    let bytes = unhex(GOLDEN_V3_RESULT);
+    let a: WindowedFleet = Checkpoint::restore(&bytes).unwrap();
+    let b: WindowedFleet = Checkpoint::restore(&bytes).unwrap();
+    assert!(Arc::ptr_eq(a.schedule(), b.schedule()));
+    // Sharing changes nothing on the wire.
+    assert_eq!(a.checkpoint(), bytes);
+    assert_eq!(b.checkpoint(), bytes);
 }
 
 #[test]

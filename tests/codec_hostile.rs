@@ -16,6 +16,9 @@ use sbitmap::core::codec::{self, peek_kind, CounterKind};
 use sbitmap::hash::mix64;
 use sbitmap::{Checkpoint, FleetArena, RateSchedule, SBitmap, SparseFleet, WindowedFleet};
 
+#[path = "support/delta_oracle.rs"]
+mod delta_oracle;
+
 /// Golden frames: one valid v2 checkpoint per kind under test.
 fn golden_frames() -> Vec<(&'static str, Vec<u8>)> {
     let mut sketch = SBitmap::with_memory(10_000, 256, 42).unwrap();
@@ -77,6 +80,9 @@ fn decode_all(bytes: &[u8]) -> bool {
     // must reach the same verdict, so each sweep in this file doubles
     // as a differential test of the sparse restore path.
     assert_eq!(b, d, "FleetArena / SparseFleet restore verdicts diverged");
+    // The same bytes through the v3 delta decoder, held to the tree
+    // oracle (a checkpoint is never a delta frame, on either side).
+    let _ = delta_oracle::decode_both(bytes);
     unframed && (a || b || c || d)
 }
 
@@ -300,9 +306,7 @@ fn empty_and_tiny_inputs_are_typed_errors() {
 // delta whose baseline was never absorbed must bounce off the receiver
 // without touching the ring.
 
-use sbitmap::core::{
-    AbsorbOutcome, DeltaBody, DeltaRecord, DeltaRun, FleetDeltaFrame, SBitmapError,
-};
+use sbitmap::core::{AbsorbOutcome, FleetDeltaFrame, SBitmapError};
 
 /// `m = 130`: stride 3 with two live bits in the tail word, so the
 /// sweeps cover the tail-mask branch of the run coder.
@@ -347,7 +351,7 @@ fn v3_goldens_roundtrip_to_begin_with() {
         let (version, kind) = peek_kind(&bytes).unwrap();
         assert_eq!(version, 3, "{name}");
         assert_eq!(kind, CounterKind::FleetDelta, "{name}");
-        let frame = FleetDeltaFrame::decode(&bytes).unwrap();
+        let frame = delta_oracle::decode_both(&bytes).unwrap();
         assert_eq!(frame.encode(), bytes, "{name}: re-encode");
     }
 }
@@ -357,7 +361,7 @@ fn v3_every_truncation_is_a_typed_error() {
     for (name, bytes) in golden_delta_frames() {
         for cut in 0..bytes.len() {
             assert!(
-                FleetDeltaFrame::decode(&bytes[..cut]).is_err(),
+                delta_oracle::decode_both(&bytes[..cut]).is_err(),
                 "{name}: truncation to {cut} of {} bytes decoded",
                 bytes.len()
             );
@@ -373,7 +377,7 @@ fn v3_every_bit_flip_is_caught_by_the_checksum() {
                 let mut evil = bytes.clone();
                 evil[i] ^= 1 << bit;
                 assert!(
-                    FleetDeltaFrame::decode(&evil).is_err(),
+                    delta_oracle::decode_both(&evil).is_err(),
                     "{name}: flipped bit {bit} of byte {i} decoded"
                 );
             }
@@ -388,7 +392,7 @@ fn v3_resealed_payload_mutations_never_panic() {
             let patch = (mix64(0xde17a ^ i as u64) & 0xff) as u8;
             let patch = if patch == 0 { 0x5a } else { patch };
             let evil = reseal(&bytes, |body| body[i] ^= patch);
-            let _ = FleetDeltaFrame::decode(&evil); // must return
+            let _ = delta_oracle::decode_both(&evil); // must return
         }
         let _ = name;
     }
@@ -407,171 +411,176 @@ fn v3_header_lies_are_rejected_before_any_om_work() {
             body[14..22].copy_from_slice(&m_lie.to_le_bytes())
         });
         assert!(
-            FleetDeltaFrame::decode(&evil).is_err(),
+            delta_oracle::decode_both(&evil).is_err(),
             "m = {m_lie} accepted"
         );
     }
     // The reserved full-frame sentinel round.
     let evil = reseal(bytes, |body| body[42..46].fill(0xff));
     assert!(
-        FleetDeltaFrame::decode(&evil).is_err(),
+        delta_oracle::decode_both(&evil).is_err(),
         "round u32::MAX accepted"
     );
     // A record count far beyond the bytes present: bounded against the
     // payload before the record vector is allocated.
     let evil = reseal(bytes, |body| body[46..54].fill(0xff));
     assert!(
-        FleetDeltaFrame::decode(&evil).is_err(),
+        delta_oracle::decode_both(&evil).is_err(),
         "all-ones record count accepted"
     );
     // A forged run length (first record is runs-mode: run count @67,
     // first run start @71, len @75).
     let evil = reseal(bytes, |body| body[75..79].fill(0xff));
     assert!(
-        FleetDeltaFrame::decode(&evil).is_err(),
+        delta_oracle::decode_both(&evil).is_err(),
         "all-ones run length accepted"
     );
     // A forged run count, bounded against the payload.
     let evil = reseal(bytes, |body| body[67..71].fill(0xff));
     assert!(
-        FleetDeltaFrame::decode(&evil).is_err(),
+        delta_oracle::decode_both(&evil).is_err(),
         "all-ones run count accepted"
     );
     // An unknown body mode.
     let evil = reseal(bytes, |body| body[66] = 99);
     assert!(
-        FleetDeltaFrame::decode(&evil).is_err(),
+        delta_oracle::decode_both(&evil).is_err(),
         "unknown body mode accepted"
     );
 }
 
-/// Encode a frame whose records were forged by hand (encode trusts the
-/// caller; decode must not).
-fn forged(records: Vec<DeltaRecord>) -> Vec<u8> {
-    let mut frame = delta_frame(0);
-    frame.records = records;
-    frame.encode()
+/// One hand-forged record body: `Runs` lists `(start, words)` with the
+/// wire run length taken from `words.len()`; `Sparse` lists positions,
+/// gap-coded exactly as the encoder would (a repeated position becomes
+/// a zero gap).
+enum ForgedBody<'a> {
+    Runs(&'a [(u32, &'a [u64])]),
+    Sparse(&'a [u32]),
+}
+
+/// The framed v3 bytes of a frame at [`delta_frame`]`(0)`'s header
+/// whose records are written byte by byte: the encoder only emits
+/// well-formed records, decode must refuse every lie on its own.
+fn forged(records: &[(u64, u32, ForgedBody<'_>)]) -> Vec<u8> {
+    let header = delta_frame(0).encode();
+    // Magic, version, tag and the payload header up to the record
+    // count (offsets as documented above `v3_header_lies_...`).
+    let mut body = header[..46].to_vec();
+    body.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    for (key, bits, rec) in records {
+        body.extend_from_slice(&key.to_le_bytes());
+        body.extend_from_slice(&bits.to_le_bytes());
+        match rec {
+            ForgedBody::Runs(runs) => {
+                body.push(0);
+                body.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+                for (start, words) in *runs {
+                    body.extend_from_slice(&start.to_le_bytes());
+                    body.extend_from_slice(&(words.len() as u32).to_le_bytes());
+                    for w in *words {
+                        body.extend_from_slice(&w.to_le_bytes());
+                    }
+                }
+            }
+            ForgedBody::Sparse(positions) => {
+                body.push(1);
+                let mut last = 0u32;
+                for &pos in *positions {
+                    let mut gap = pos - last;
+                    last = pos;
+                    while gap >= 0x80 {
+                        body.push(gap as u8 | 0x80);
+                        gap >>= 7;
+                    }
+                    body.push(gap as u8);
+                }
+            }
+        }
+    }
+    let checksum = sbitmap::hash::xxh64(&body, 0);
+    body.extend_from_slice(&checksum.to_le_bytes());
+    body
 }
 
 #[test]
 fn v3_forged_run_geometry_is_rejected() {
-    // Overlapping runs.
-    let bytes = forged(vec![DeltaRecord {
-        key: 3,
-        bits: 3,
-        body: DeltaBody::Runs(vec![
-            DeltaRun {
-                start: 0,
-                words: vec![1, 1],
-            },
-            DeltaRun {
-                start: 1,
-                words: vec![1],
-            },
+    // The forger is faithful: well-formed records come out as the
+    // encoder's own bytes.
+    let mut honest = delta_frame(0);
+    honest.push(3, &[0b1011, 0, 0]);
+    honest.push(11, &[u64::MAX, u64::MAX, 0]);
+    assert_eq!(
+        forged(&[
+            (3, 3, ForgedBody::Sparse(&[0, 1, 3])),
+            (11, 128, ForgedBody::Runs(&[(0, &[u64::MAX, u64::MAX])])),
         ]),
-    }]);
-    assert!(FleetDeltaFrame::decode(&bytes).is_err(), "overlapping runs");
+        honest.encode()
+    );
+
+    // Overlapping runs.
+    let bytes = forged(&[(3, 3, ForgedBody::Runs(&[(0, &[1, 1]), (1, &[1])]))]);
+    assert!(
+        delta_oracle::decode_both(&bytes).is_err(),
+        "overlapping runs"
+    );
 
     // An empty run.
-    let bytes = forged(vec![DeltaRecord {
-        key: 3,
-        bits: 0,
-        body: DeltaBody::Runs(vec![DeltaRun {
-            start: 0,
-            words: vec![],
-        }]),
-    }]);
-    assert!(FleetDeltaFrame::decode(&bytes).is_err(), "empty run");
+    let bytes = forged(&[(3, 0, ForgedBody::Runs(&[(0, &[])]))]);
+    assert!(delta_oracle::decode_both(&bytes).is_err(), "empty run");
 
     // A run extending past the stride.
-    let bytes = forged(vec![DeltaRecord {
-        key: 3,
-        bits: 2,
-        body: DeltaBody::Runs(vec![DeltaRun {
-            start: DELTA_STRIDE as u32 - 1,
-            words: vec![1, 1],
-        }]),
-    }]);
-    assert!(FleetDeltaFrame::decode(&bytes).is_err(), "run past stride");
+    let bytes = forged(&[(
+        3,
+        2,
+        ForgedBody::Runs(&[(DELTA_STRIDE as u32 - 1, &[1, 1])]),
+    )]);
+    assert!(
+        delta_oracle::decode_both(&bytes).is_err(),
+        "run past stride"
+    );
 
     // A tail word setting bits at or beyond m (m = 130 leaves two live
     // bits in word 2; bit 2 of that word is bit 130 of the bitmap).
-    let bytes = forged(vec![DeltaRecord {
-        key: 3,
-        bits: 1,
-        body: DeltaBody::Runs(vec![DeltaRun {
-            start: 2,
-            words: vec![0b100],
-        }]),
-    }]);
+    let bytes = forged(&[(3, 1, ForgedBody::Runs(&[(2, &[0b100])]))]);
     assert!(
-        FleetDeltaFrame::decode(&bytes).is_err(),
+        delta_oracle::decode_both(&bytes).is_err(),
         "bit at m accepted"
     );
 
     // A bits header disagreeing with the run popcount.
-    let bytes = forged(vec![DeltaRecord {
-        key: 3,
-        bits: 2,
-        body: DeltaBody::Runs(vec![DeltaRun {
-            start: 0,
-            words: vec![1],
-        }]),
-    }]);
+    let bytes = forged(&[(3, 2, ForgedBody::Runs(&[(0, &[1])]))]);
     assert!(
-        FleetDeltaFrame::decode(&bytes).is_err(),
+        delta_oracle::decode_both(&bytes).is_err(),
         "bits lie accepted"
     );
 
     // bits > m outright.
-    let bytes = forged(vec![DeltaRecord {
-        key: 3,
-        bits: DELTA_M as u32 + 1,
-        body: DeltaBody::Sparse(vec![0]),
-    }]);
+    let bytes = forged(&[(3, DELTA_M as u32 + 1, ForgedBody::Sparse(&[0]))]);
     assert!(
-        FleetDeltaFrame::decode(&bytes).is_err(),
+        delta_oracle::decode_both(&bytes).is_err(),
         "bits > m accepted"
     );
 
     // A sparse position at m.
-    let bytes = forged(vec![DeltaRecord {
-        key: 3,
-        bits: 1,
-        body: DeltaBody::Sparse(vec![DELTA_M as u32]),
-    }]);
-    assert!(FleetDeltaFrame::decode(&bytes).is_err(), "position at m");
+    let bytes = forged(&[(3, 1, ForgedBody::Sparse(&[DELTA_M as u32]))]);
+    assert!(delta_oracle::decode_both(&bytes).is_err(), "position at m");
 
     // Duplicate sparse positions (gap 0 on the wire).
-    let bytes = forged(vec![DeltaRecord {
-        key: 3,
-        bits: 2,
-        body: DeltaBody::Sparse(vec![5, 5]),
-    }]);
+    let bytes = forged(&[(3, 2, ForgedBody::Sparse(&[5, 5]))]);
     assert!(
-        FleetDeltaFrame::decode(&bytes).is_err(),
+        delta_oracle::decode_both(&bytes).is_err(),
         "duplicate position"
     );
 
     // Non-ascending record keys.
-    let mut frame = delta_frame(0);
-    frame.records = vec![
-        DeltaRecord {
-            key: 9,
-            bits: 1,
-            body: DeltaBody::Sparse(vec![0]),
-        },
-        DeltaRecord {
-            key: 3,
-            bits: 1,
-            body: DeltaBody::Sparse(vec![0]),
-        },
-    ];
-    let mut w_bytes = std::panic::catch_unwind(move || frame.encode());
-    if let Ok(bytes) = &mut w_bytes {
-        // If encode ever stops asserting, decode still must reject.
-        assert!(FleetDeltaFrame::decode(bytes).is_err(), "descending keys");
-    }
+    let bytes = forged(&[
+        (9, 1, ForgedBody::Sparse(&[0])),
+        (3, 1, ForgedBody::Sparse(&[0])),
+    ]);
+    assert!(
+        delta_oracle::decode_both(&bytes).is_err(),
+        "descending keys"
+    );
 }
 
 #[test]
@@ -589,7 +598,7 @@ fn v3_version_kind_pairings_are_enforced() {
     );
     // A valid v2 checkpoint fed to the delta decoder: typed mismatch.
     assert!(
-        FleetDeltaFrame::decode(checkpoint).is_err(),
+        delta_oracle::decode_both(checkpoint).is_err(),
         "checkpoint decoded as a delta frame"
     );
 }
