@@ -18,9 +18,7 @@ use sbitmap_core::journal::{self, JournalConfig};
 use sbitmap_core::{
     simulate, Dimensioning, DistinctCounter, MergeableCounter, RateSchedule, SBitmap,
 };
-use sbitmap_daemon::{
-    query_once, run_agent_rounds, run_agent_rounds_failover, AgentConfig, Daemon, DaemonConfig,
-};
+use sbitmap_daemon::{query_once, run_agent_rounds_failover, AgentConfig, Daemon, DaemonConfig};
 use sbitmap_hash::rng::Xoshiro256StarStar;
 use sbitmap_hash::{HashKind, SplitMix64Hasher};
 use sbitmap_stream::collector::{
@@ -1056,8 +1054,7 @@ fn agent_cmd(opts: &Options, out: &mut impl Write) -> Result<(), String> {
     let read_deadline = Duration::from_millis(opts.deadline_ms.max(1));
     writeln!(
         out,
-        "agent {agent_id}: shard {} of {} shipping {} epochs as {} v3 delta frames to {} \
-         (full-frame fallback for v2 collectors)",
+        "agent {agent_id}: shard {} of {} shipping {} epochs as {} v3 delta frames to {}",
         opts.shard,
         pcfg.shards,
         backlog.len(),
@@ -1066,24 +1063,13 @@ fn agent_cmd(opts: &Options, out: &mut impl Write) -> Result<(), String> {
     )
     .map_err(io_err)?;
     out.flush().map_err(io_err)?;
-    let report = if targets.len() > 1 {
-        run_agent_rounds_failover(
-            &acfg,
-            backlog,
-            &targets,
-            Duration::from_secs(2),
-            read_deadline,
-        )?
-    } else {
-        let addr = targets[0].clone();
-        run_agent_rounds(&acfg, backlog, |_attempt| {
-            let stream = TcpStream::connect(&*addr)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(read_deadline))?;
-            stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-            Ok(stream)
-        })?
-    };
+    let report = run_agent_rounds_failover(
+        &acfg,
+        backlog,
+        &targets,
+        Duration::from_secs(2),
+        read_deadline,
+    )?;
     writeln!(
         out,
         "acked {} of {} frames sent ({} bytes) over {} connections ({} duplicates, \
@@ -1098,14 +1084,12 @@ fn agent_cmd(opts: &Options, out: &mut impl Write) -> Result<(), String> {
         report.error_frames_seen
     )
     .map_err(io_err)?;
-    if targets.len() > 1 {
-        writeln!(
-            out,
-            "{} failover rotations, {} stale-term acks discarded",
-            report.failovers, report.stale_acks
-        )
-        .map_err(io_err)?;
-    }
+    writeln!(
+        out,
+        "{} failover rotations, {} stale-term acks discarded",
+        report.failovers, report.stale_acks
+    )
+    .map_err(io_err)?;
     Ok(())
 }
 

@@ -111,7 +111,7 @@ impl AgentConfig {
     }
 }
 
-/// What one [`run_agent`] call did.
+/// What one agent run did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AgentReport {
     /// Frames acknowledged (any outcome) and removed from pending.
@@ -127,8 +127,8 @@ pub struct AgentReport {
     pub dropped: u64,
     /// Typed error frames received from the collector.
     pub error_frames_seen: u64,
-    /// `Batch`/`BatchDelta` frames written to the stream, retransmits
-    /// and replays included.
+    /// `BatchDelta` frames written to the stream, retransmits and
+    /// replays included.
     pub frames_sent: u64,
     /// Sketch-payload bytes written to the stream across all sends —
     /// the agent-side view of the wire cost the v3 encoding shrinks.
@@ -150,14 +150,67 @@ pub struct AgentReport {
     pub failovers: u64,
 }
 
-/// One unacked wire frame: a full v2 epoch checkpoint (`round: None`,
-/// sent as [`Message::Batch`]) or one round of a v3 delta chain
-/// (`round: Some(r)`, sent as [`Message::BatchDelta`]).
+/// One unacked wire frame: one round of an epoch's v3 delta chain.
 #[derive(Debug, Clone)]
 struct WireItem {
     epoch: u64,
-    round: Option<u32>,
+    round: u32,
     bytes: Vec<u8>,
+}
+
+/// The round-0 frames a [`ErrorCode::MissingBaseline`] resync may still
+/// need, kept even after they are acked. The collector's open epoch is
+/// at least the highest epoch it has acked, so once `e + window` reaches
+/// that epoch a resend of epoch `e` would only come back `Expired`: its
+/// baseline is dropped then, unless a pending round still names it.
+#[derive(Debug)]
+struct Baselines {
+    frames: HashMap<u64, Vec<u8>>,
+    window: u64,
+    max_acked: Option<u64>,
+}
+
+impl Baselines {
+    /// Flatten a backlog into send order, keeping every epoch's round-0
+    /// frame for resyncs.
+    fn expand(backlog: Vec<EpochFrames>, window: u64) -> (Vec<WireItem>, Self) {
+        let mut items = Vec::new();
+        let mut frames = HashMap::new();
+        for ef in backlog {
+            for (round, bytes) in ef.deltas.into_iter().enumerate() {
+                if round == 0 {
+                    frames.insert(ef.epoch, bytes.clone());
+                }
+                items.push(WireItem {
+                    epoch: ef.epoch,
+                    round: round as u32,
+                    bytes,
+                });
+            }
+        }
+        let baselines = Self {
+            frames,
+            window,
+            max_acked: None,
+        };
+        (items, baselines)
+    }
+
+    fn get(&self, epoch: u64) -> Option<&Vec<u8>> {
+        self.frames.get(&epoch)
+    }
+
+    /// Note a current-term ack for `epoch`, then drop the baselines no
+    /// resync can use any more.
+    fn acked(&mut self, epoch: u64, pending: &[WireItem]) {
+        let max = self.max_acked.map_or(epoch, |m| m.max(epoch));
+        self.max_acked = Some(max);
+        let Some(limit) = max.checked_sub(self.window) else {
+            return;
+        };
+        self.frames
+            .retain(|&e, _| e > limit || pending.iter().any(|i| i.epoch == e));
+    }
 }
 
 /// How one session ended, from the outer retry loop's point of view.
@@ -173,9 +226,10 @@ enum SessionEnd {
     Fatal(String),
 }
 
-/// Ship `frames` (`(epoch, tag-9 fleet checkpoint)` pairs) to the
-/// collector, reconnecting through `connect` until every frame is acked
-/// or the attempt budget is exhausted.
+/// Ship a v3 delta backlog — each epoch's round chain from
+/// [`sbitmap_stream::DeltaFrameSource`] (only `deltas` is read) — to
+/// the collector, reconnecting through `connect` until every round is
+/// acked or the attempt budget is exhausted.
 ///
 /// `connect` is called with the 0-based attempt number and returns a
 /// fresh duplex stream (a `TcpStream` in production; anything
@@ -183,52 +237,19 @@ enum SessionEnd {
 /// the agent relies on periodic read timeouts to notice a dead or
 /// stalled collector via [`AgentConfig::ack_timeout`].
 ///
-/// # Errors
-///
-/// Exhausting [`AgentConfig::max_attempts`], or a fatal handshake
-/// rejection (version/config mismatch).
-pub fn run_agent<S, C>(
-    cfg: &AgentConfig,
-    frames: Vec<(u64, Vec<u8>)>,
-    connect: C,
-) -> Result<AgentReport, String>
-where
-    S: Read + Write,
-    C: FnMut(u32) -> io::Result<S>,
-{
-    let items = frames
-        .into_iter()
-        .map(|(epoch, bytes)| WireItem {
-            epoch,
-            round: None,
-            bytes,
-        })
-        .collect();
-    let mut connect = connect;
-    run_items(cfg, items, &HashMap::new(), &HashMap::new(), |a, _| {
-        connect(a)
-    })
-}
-
-/// Ship a v3 delta backlog — each epoch's round chain from
-/// [`sbitmap_stream::DeltaFrameSource`] — reconnecting until every round
-/// is acked or the attempt budget is exhausted.
-///
-/// Per-shard baseline tracking lives here: the agent keeps every
-/// epoch's round-0 baseline (even after it is acked) so a collector
-/// answering [`ErrorCode::MissingBaseline`] — restart, expiry race, or
-/// a reordered chain head — gets the epoch re-sent from its baseline,
-/// and at-least-once delivery stays correct because replayed rounds
-/// come back as guard duplicates.
-///
-/// When the collector's `Welcome` negotiates protocol 1 (a v2-only
-/// peer), the agent falls back to shipping each pending epoch's final
-/// full checkpoint (`fulls.last()`) as a plain `Batch` instead.
+/// Per-shard baseline tracking lives here: the agent keeps each epoch's
+/// round-0 baseline (even after it is acked) while the collector's
+/// window can still hold the epoch, so a collector answering
+/// [`ErrorCode::MissingBaseline`] — restart, expiry race, or a
+/// reordered chain head — gets the epoch re-sent from its baseline, and
+/// at-least-once delivery stays correct because replayed rounds come
+/// back as guard duplicates.
 ///
 /// # Errors
 ///
 /// Exhausting [`AgentConfig::max_attempts`], or a fatal handshake
-/// rejection (version/config mismatch).
+/// rejection (version/config mismatch, or a collector welcoming us
+/// below [`PROTO_VERSION`]).
 pub fn run_agent_rounds<S, C>(
     cfg: &AgentConfig,
     backlog: Vec<EpochFrames>,
@@ -238,26 +259,8 @@ where
     S: Read + Write,
     C: FnMut(u32) -> io::Result<S>,
 {
-    let mut items = Vec::new();
-    let mut baselines = HashMap::new();
-    let mut fallback = HashMap::new();
-    for ef in backlog {
-        if let Some(first) = ef.deltas.first() {
-            baselines.insert(ef.epoch, first.clone());
-        }
-        if let Some(full) = ef.fulls.last() {
-            fallback.insert(ef.epoch, full.clone());
-        }
-        for (round, bytes) in ef.deltas.into_iter().enumerate() {
-            items.push(WireItem {
-                epoch: ef.epoch,
-                round: Some(round as u32),
-                bytes,
-            });
-        }
-    }
     let mut connect = connect;
-    run_items(cfg, items, &baselines, &fallback, |a, _| connect(a))
+    run_items(cfg, backlog, |a, _| connect(a))
 }
 
 /// Ship a v3 delta backlog to a **replicated collector fleet**: an
@@ -287,24 +290,6 @@ pub fn run_agent_rounds_failover(
 ) -> Result<AgentReport, String> {
     if addrs.is_empty() {
         return Err(format!("agent {} has no collector addresses", cfg.agent_id));
-    }
-    let mut items = Vec::new();
-    let mut baselines = HashMap::new();
-    let mut fallback = HashMap::new();
-    for ef in backlog {
-        if let Some(first) = ef.deltas.first() {
-            baselines.insert(ef.epoch, first.clone());
-        }
-        if let Some(full) = ef.fulls.last() {
-            fallback.insert(ef.epoch, full.clone());
-        }
-        for (round, bytes) in ef.deltas.into_iter().enumerate() {
-            items.push(WireItem {
-                epoch: ef.epoch,
-                round: Some(round as u32),
-                bytes,
-            });
-        }
     }
     let current = Cell::new(0usize);
     let rotations = Cell::new(0u64);
@@ -336,21 +321,19 @@ pub fn run_agent_rounds_failover(
             }
         }
     };
-    let mut report = run_items(cfg, items, &baselines, &fallback, connect)?;
+    let mut report = run_items(cfg, backlog, connect)?;
     report.failovers = rotations.get();
     Ok(report)
 }
 
-/// The shared retry loop beneath [`run_agent`], [`run_agent_rounds`]
-/// and [`run_agent_rounds_failover`]. `connect` receives the attempt
-/// number and whether the previous session asked to rotate to the next
+/// The shared retry loop beneath [`run_agent_rounds`] and
+/// [`run_agent_rounds_failover`]. `connect` receives the attempt number
+/// and whether the previous session asked to rotate to the next
 /// collector address (always `false` for the single-address entry
-/// points, which ignore it).
+/// point, which ignores it).
 fn run_items<S, C>(
     cfg: &AgentConfig,
-    items: Vec<WireItem>,
-    baselines: &HashMap<u64, Vec<u8>>,
-    fallback: &HashMap<u64, Vec<u8>>,
+    backlog: Vec<EpochFrames>,
     mut connect: C,
 ) -> Result<AgentReport, String>
 where
@@ -358,7 +341,7 @@ where
     C: FnMut(u32, bool) -> io::Result<S>,
 {
     let mut report = AgentReport::default();
-    let mut pending = items;
+    let (mut pending, mut baselines) = Baselines::expand(backlog, cfg.config.window);
     let mut attempt: u32 = 0;
     // The highest fencing term any collector has welcomed us with —
     // survives reconnects, so acks from a deposed primary are
@@ -398,8 +381,7 @@ where
             cfg,
             &byte_plan,
             &mut pending,
-            baselines,
-            fallback,
+            &mut baselines,
             stream,
             &mut report,
             &mut term_seen,
@@ -480,8 +462,7 @@ fn session<S: Read + Write>(
     cfg: &AgentConfig,
     plan: &FaultPlan,
     pending: &mut Vec<WireItem>,
-    baselines: &HashMap<u64, Vec<u8>>,
-    fallback: &HashMap<u64, Vec<u8>>,
+    baselines: &mut Baselines,
     stream: FaultyStream<S>,
     report: &mut AgentReport,
     term_seen: &mut u64,
@@ -513,30 +494,12 @@ fn session<S: Read + Write>(
                     return SessionEnd::RetryRotate;
                 }
                 *term_seen = config.term;
-                if proto < 2 && pending.iter().any(|i| i.round.is_some()) {
-                    // The collector is v2-only: collapse each pending
-                    // epoch's delta chain into its full checkpoint. The
-                    // downgrade is sticky — items stay full frames for
-                    // every later session too.
-                    let mut fulls: Vec<WireItem> = Vec::new();
-                    for item in pending.iter() {
-                        if fulls.iter().any(|f| f.epoch == item.epoch) {
-                            continue;
-                        }
-                        let Some(bytes) = fallback.get(&item.epoch) else {
-                            return SessionEnd::Fatal(format!(
-                                "agent {} has no full-frame fallback for epoch {} \
-                                 on a protocol-{proto} session",
-                                cfg.agent_id, item.epoch
-                            ));
-                        };
-                        fulls.push(WireItem {
-                            epoch: item.epoch,
-                            round: None,
-                            bytes: bytes.clone(),
-                        });
-                    }
-                    *pending = fulls;
+                if proto < PROTO_VERSION {
+                    return SessionEnd::Fatal(format!(
+                        "collector welcomed agent {} at protocol {proto}, \
+                         below this agent's {PROTO_VERSION}",
+                        cfg.agent_id
+                    ));
                 }
                 break (credits.max(1)) as usize;
             }
@@ -601,18 +564,11 @@ fn session<S: Read + Write>(
     loop {
         while in_flight < credits && next < queue.len() {
             let item = &queue[next];
-            let batch = match item.round {
-                None => Message::Batch {
-                    epoch: item.epoch,
-                    agent: cfg.agent_id,
-                    frame: item.bytes.clone(),
-                },
-                Some(round) => Message::BatchDelta {
-                    epoch: item.epoch,
-                    round,
-                    agent: cfg.agent_id,
-                    frame: item.bytes.clone(),
-                },
+            let batch = Message::BatchDelta {
+                epoch: item.epoch,
+                round: item.round,
+                agent: cfg.agent_id,
+                frame: item.bytes.clone(),
             };
             report.frames_sent += 1;
             report.bytes_on_wire += item.bytes.len() as u64;
@@ -627,8 +583,9 @@ fn session<S: Read + Write>(
             return SessionEnd::Done;
         }
         match reader.read_event() {
-            Ok(ReadEvent::Message(Message::Ack {
+            Ok(ReadEvent::Message(Message::AckDelta {
                 epoch,
+                round,
                 outcome,
                 term,
             })) => {
@@ -649,35 +606,12 @@ fn session<S: Read + Write>(
                 }
                 if let Some(pos) = pending
                     .iter()
-                    .position(|i| i.round.is_none() && i.epoch == epoch)
+                    .position(|i| i.round == round && i.epoch == epoch)
                 {
                     pending.remove(pos);
                     report.frames_acked += 1;
                 }
-            }
-            Ok(ReadEvent::Message(Message::AckDelta {
-                epoch,
-                round,
-                outcome,
-                term,
-            })) => {
-                last_progress = Instant::now();
-                in_flight = in_flight.saturating_sub(1);
-                if term < *term_seen {
-                    report.stale_acks += 1;
-                    continue;
-                }
-                *term_seen = term.max(*term_seen);
-                if outcome == AckOutcome::Duplicate {
-                    report.duplicates += 1;
-                }
-                if let Some(pos) = pending
-                    .iter()
-                    .position(|i| i.round == Some(round) && i.epoch == epoch)
-                {
-                    pending.remove(pos);
-                    report.frames_acked += 1;
-                }
+                baselines.acked(epoch, pending);
             }
             Ok(ReadEvent::Message(Message::Error {
                 code: ErrorCode::BadFrame,
@@ -718,7 +652,7 @@ fn session<S: Read + Write>(
                 // collector already absorbed come back as duplicates.
                 report.error_frames_seen += 1;
                 in_flight = in_flight.saturating_sub(1);
-                let Some(baseline) = baselines.get(&context) else {
+                let Some(baseline) = baselines.get(context) else {
                     return SessionEnd::Retry;
                 };
                 if retransmit_budget == 0 {
@@ -728,12 +662,12 @@ fn session<S: Read + Write>(
                 report.baseline_resyncs += 1;
                 queue.push(WireItem {
                     epoch: context,
-                    round: Some(0),
+                    round: 0,
                     bytes: baseline.clone(),
                 });
                 let rounds: Vec<WireItem> = pending
                     .iter()
-                    .filter(|i| i.epoch == context && i.round.is_some_and(|r| r > 0))
+                    .filter(|i| i.epoch == context && i.round > 0)
                     .cloned()
                     .collect();
                 for item in rounds {
@@ -844,9 +778,13 @@ mod tests {
                 },
             )
         };
-        let frames = vec![(0u64, vec![1, 2, 3])];
+        let backlog = vec![EpochFrames {
+            epoch: 0,
+            fulls: Vec::new(),
+            deltas: vec![vec![1, 2, 3]],
+        }];
         let mut tries = 0u32;
-        let err = run_agent(&cfg, frames, |_attempt| {
+        let err = run_agent_rounds(&cfg, backlog, |_attempt| {
             tries += 1;
             Err::<std::io::Cursor<Vec<u8>>, _>(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
@@ -856,5 +794,87 @@ mod tests {
         .unwrap_err();
         assert_eq!(tries, 3);
         assert!(err.contains("gave up after 3 attempts"), "{err}");
+    }
+
+    #[test]
+    fn a_welcome_below_our_protocol_is_fatal() {
+        /// Replays canned collector bytes and swallows every write.
+        struct Canned(io::Cursor<Vec<u8>>);
+        impl Read for Canned {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.0.read(buf)
+            }
+        }
+        impl Write for Canned {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let echo = ConfigEcho {
+            n_max: 1000,
+            m: 100,
+            sampling_bits: 4,
+            seed: 1,
+            window: 2,
+            term: 0,
+        };
+        let backlog = vec![EpochFrames {
+            epoch: 0,
+            fulls: Vec::new(),
+            deltas: vec![vec![1, 2, 3]],
+        }];
+        let mut sessions = 0;
+        let err = run_agent_rounds(&AgentConfig::new(9, echo), backlog, |_attempt| {
+            sessions += 1;
+            let welcome = encode(&Message::Welcome {
+                proto: PROTO_VERSION - 1,
+                credits: 4,
+                config: echo,
+            });
+            Ok(Canned(io::Cursor::new(welcome)))
+        })
+        .unwrap_err();
+        assert_eq!(sessions, 1, "a foreign protocol is not retried");
+        assert!(err.contains("protocol 1"), "{err}");
+    }
+
+    #[test]
+    fn baselines_are_dropped_once_their_epoch_leaves_every_window() {
+        let epoch = |e: u64| EpochFrames {
+            epoch: e,
+            fulls: Vec::new(),
+            deltas: vec![vec![e as u8, 0], vec![e as u8, 1]],
+        };
+        let (mut pending, mut baselines) = Baselines::expand((0..6).map(epoch).collect(), 2);
+        assert_eq!(pending.len(), 12);
+        assert_eq!(baselines.get(3), Some(&vec![3, 0]));
+        let kept = |b: &Baselines| {
+            let mut e: Vec<u64> = b.frames.keys().copied().collect();
+            e.sort_unstable();
+            e
+        };
+        // Everything of epochs 0 and 1 is acked except round 1 of
+        // epoch 0; epoch 2 is the highest acked. Epoch 0 is outside
+        // the window of epoch 2 but still has a pending round, so its
+        // baseline must survive; epoch 1 is inside the window.
+        pending.retain(|i| i.epoch > 2 || (i.epoch, i.round) == (0, 1));
+        baselines.acked(2, &pending);
+        assert_eq!(kept(&baselines), vec![0, 1, 2, 3, 4, 5]);
+        // An older ack never lowers the bar.
+        baselines.acked(1, &pending);
+        assert_eq!(kept(&baselines), vec![0, 1, 2, 3, 4, 5]);
+        // Epoch 3 acked: epoch 1 falls out of the window (1 + 2 <= 3)
+        // with nothing pending, epoch 0 is still pinned by its round.
+        baselines.acked(3, &pending);
+        assert_eq!(kept(&baselines), vec![0, 2, 3, 4, 5]);
+        // The pending round lands: epoch 0 goes too.
+        pending.retain(|i| i.epoch != 0);
+        baselines.acked(3, &pending);
+        assert_eq!(kept(&baselines), vec![2, 3, 4, 5]);
+        assert_eq!(baselines.get(0), None);
+        assert_eq!(baselines.get(2), Some(&vec![2, 0]));
     }
 }

@@ -24,8 +24,8 @@
 //!   recovers the ring (snapshot restore + journal replay) — see
 //!   `docs/recovery.md` and the kill-and-recover suite in
 //!   `tests/crash.rs`.
-//! * [`agent`] — the node agent: ships a shard's epoch frames (full v2
-//!   checkpoints or v3 delta round chains) with a credit window,
+//! * [`agent`] — the node agent: ships a shard's epoch frames as v3
+//!   delta round chains with a credit window,
 //!   reconnects with capped exponential backoff and deterministic
 //!   seeded jitter, resumes from the last acked frame (at-least-once —
 //!   the collector's absorb guard makes replays no-ops), retains each
@@ -50,8 +50,7 @@ mod replica;
 pub mod server;
 
 pub use agent::{
-    query_once, run_agent, run_agent_rounds, run_agent_rounds_failover, AgentConfig, AgentReport,
-    Backoff,
+    query_once, run_agent_rounds, run_agent_rounds_failover, AgentConfig, AgentReport, Backoff,
 };
 pub use loopback::{run_loopback, run_loopback_replicated, LoopbackOutcome, ReplicatedOutcome};
 pub use server::{CrashPoint, CrashSite, Daemon, DaemonConfig, DaemonReport};

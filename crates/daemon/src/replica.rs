@@ -29,12 +29,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use sbitmap_core::codec::{self, Checkpoint};
 use sbitmap_core::journal;
-use sbitmap_core::{CounterKind, FleetArena, FleetDeltaFrame};
+use sbitmap_core::FleetDeltaFrame;
 use sbitmap_stream::net::{self, FrameReader, Message, ReadEvent, Role, PROTO_VERSION};
 
-use crate::server::{FrameJob, Job, JobPayload, Shared};
+use crate::server::{FrameJob, Job, Shared};
 
 /// Ceiling of the reconnect backoff between follow attempts.
 const MAX_BACKOFF: Duration = Duration::from_secs(1);
@@ -281,7 +280,7 @@ fn ack_pump(
         // already in the channel into one `ReplicateAck` carrying the
         // newest settled seq — one write per wakeup, not per frame.
         let mut done = 1usize;
-        let ok = |m: &Message| matches!(m, Message::Ack { .. } | Message::AckDelta { .. });
+        let ok = |m: &Message| matches!(m, Message::AckDelta { .. });
         if !ok(&msg) {
             // A typed absorb error: the record is not durable here.
             // Withhold the ack; the primary times out, drops us, and
@@ -345,25 +344,17 @@ fn wait_done(
     }
 }
 
-/// Decode a replicated or journaled record's sketch payload the same
+/// Decode a replicated or journaled record's v3 delta frame the same
 /// way the ingest path does, refusing envelopes that disagree with
-/// their contents.
-pub(crate) fn decode_payload(rec: &journal::JournalRecord) -> Result<JobPayload, ()> {
-    let (_, kind) = codec::peek_kind(&rec.payload).map_err(|_| ())?;
-    match kind {
-        CounterKind::SketchFleet => {
-            let fleet = <FleetArena as Checkpoint>::restore(&rec.payload).map_err(|_| ())?;
-            Ok(JobPayload::Full(Box::new(fleet)))
-        }
-        CounterKind::FleetDelta => {
-            let frame = FleetDeltaFrame::decode(&rec.payload).map_err(|_| ())?;
-            if frame.epoch != rec.epoch {
-                return Err(());
-            }
-            Ok(JobPayload::Delta(frame))
-        }
-        _ => Err(()),
+/// their contents. Only tag-11 records qualify: a primary of this build
+/// never journals anything else, and catch-up ships a snapshot, not old
+/// records.
+pub(crate) fn decode_payload(rec: &journal::JournalRecord) -> Result<FleetDeltaFrame, ()> {
+    let frame = FleetDeltaFrame::decode(&rec.payload).map_err(|_| ())?;
+    if frame.epoch != rec.epoch {
+        return Err(());
     }
+    Ok(frame)
 }
 
 /// Write one frame directly on the socket (the client is synchronous:

@@ -36,11 +36,11 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sbitmap_core::codec::Checkpoint;
+use sbitmap_core::codec::{self, Checkpoint};
 use sbitmap_core::journal::{self, JournalConfig, JournalRecord, JournalWriter};
 use sbitmap_core::{
-    AbsorbOutcome, FleetArena, FleetDeltaFrame, KeyedEstimates, RateSchedule, SBitmapError,
-    WindowedFleet,
+    AbsorbOutcome, CounterKind, FleetArena, FleetDeltaFrame, KeyedEstimates, RateSchedule,
+    SBitmapError, WindowedFleet,
 };
 use sbitmap_stream::net::{
     ConfigEcho, ErrorCode, FrameReader, Message, NetError, NodeRole, QueryReply, QueryRequest,
@@ -172,11 +172,6 @@ pub struct DaemonConfig {
     /// can force the bounded queue to fill and observe backpressure
     /// deterministically. Zero in production.
     pub absorb_stall: Duration,
-    /// Highest protocol version this daemon speaks — the handshake
-    /// answers `min(client, max_proto)`. Production leaves this at
-    /// [`PROTO_VERSION`]; tests pin it to 1 to exercise a v2-only
-    /// collector against delta-capable agents.
-    pub max_proto: u16,
     /// Standby mode: follow the primary whose *ingest* address this is.
     /// The daemon starts as a standby — it refuses ingest sessions with
     /// [`ErrorCode::NotPrimary`] until promoted, and runs a replication
@@ -226,7 +221,6 @@ impl Default for DaemonConfig {
             busy_timeout: Duration::from_secs(2),
             crash_point: None,
             absorb_stall: Duration::ZERO,
-            max_proto: PROTO_VERSION,
             standby_of: None,
             initial_term: 1,
             replication_timeout: Duration::from_secs(2),
@@ -258,6 +252,7 @@ struct Stats {
     replicated_frames: AtomicU64,
     replica_drops: AtomicU64,
     not_primary_rejects: AtomicU64,
+    handler_panics: AtomicU64,
 }
 
 /// What [`Daemon::join`] returns after a graceful drain.
@@ -289,7 +284,7 @@ pub struct DaemonReport {
     /// Query requests answered.
     pub queries: u64,
     /// Total sketch-frame bytes received over ingest sessions (the
-    /// payload of every `Batch`/`BatchDelta`, before decoding) — the
+    /// payload of every `BatchDelta`, before decoding) — the
     /// number the v3 delta encoding exists to shrink.
     pub bytes_on_wire: u64,
     /// Delta frames rejected because their epoch's round-0 baseline had
@@ -327,15 +322,6 @@ pub struct DaemonReport {
     pub handler_panics: u64,
 }
 
-/// The sketch payload of one decoded ingest frame.
-pub(crate) enum JobPayload {
-    /// A full v2 `sketch-fleet` checkpoint.
-    Full(Box<FleetArena>),
-    /// One round of a v3 delta chain (the wire `round` is validated
-    /// against the frame before queueing).
-    Delta(FleetDeltaFrame),
-}
-
 /// One unit of work queued for the absorber (the single ring writer).
 pub(crate) enum Job {
     /// A decoded batch frame from an ingest session or, on a standby,
@@ -355,7 +341,9 @@ pub(crate) enum Job {
 pub(crate) struct FrameJob {
     pub(crate) epoch: u64,
     pub(crate) agent: u64,
-    pub(crate) payload: JobPayload,
+    /// One round of a v3 delta chain (the wire `round` is validated
+    /// against the frame before queueing).
+    pub(crate) payload: FleetDeltaFrame,
     /// The frame exactly as it arrived on the wire — what the journal
     /// records, so replay decodes the same bytes the live path did.
     pub(crate) wire: Vec<u8>,
@@ -706,12 +694,7 @@ impl Daemon {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner),
         );
-        let mut handler_panics = 0u64;
-        for t in handlers {
-            if t.join().is_err() {
-                handler_panics += 1;
-            }
-        }
+        join_handlers(handlers, &self.shared.stats);
         if let Some(t) = self.replica {
             t.join()
                 .map_err(|_| "replica thread panicked".to_string())?;
@@ -768,14 +751,18 @@ impl Daemon {
             replicated_frames: s.replicated_frames.load(Ordering::Relaxed),
             replica_drops: s.replica_drops.load(Ordering::Relaxed),
             not_primary_rejects: s.not_primary_rejects.load(Ordering::Relaxed),
-            handler_panics,
+            handler_panics: s.handler_panics.load(Ordering::Relaxed),
         })
     }
 }
 
 /// Accept until the drain flag flips, spawning one handler per
 /// connection. `make_handler` builds the per-connection closure (which
-/// captures the shared state and, for ingest, a queue sender).
+/// captures the shared state and, for ingest, a queue sender). Each
+/// accept first joins the handlers that have already finished, so the
+/// handle list tracks live connections rather than every connection the
+/// daemon ever served; their panics count toward
+/// [`DaemonReport::handler_panics`] like the ones [`Daemon::join`] finds.
 fn accept_loop<F, G>(
     shared: &Arc<Shared>,
     listener: &TcpListener,
@@ -793,12 +780,29 @@ fn accept_loop<F, G>(
                 // listener polls.
                 let _ = stream.set_nonblocking(false);
                 let handler = make_handler(shared.clone(), stream);
-                handlers.lock().unwrap().push(std::thread::spawn(handler));
+                let mut live = handlers
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let (done, running) = std::mem::take(&mut *live)
+                    .into_iter()
+                    .partition::<Vec<_>, _>(JoinHandle::is_finished);
+                *live = running;
+                join_handlers(done, &shared.stats);
+                live.push(std::thread::spawn(handler));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
             }
             Err(_) => std::thread::sleep(ACCEPT_POLL),
+        }
+    }
+}
+
+/// Join connection handlers, counting the ones that panicked.
+fn join_handlers(handles: Vec<JoinHandle<()>>, stats: &Stats) {
+    for t in handles {
+        if t.join().is_err() {
+            stats.handler_panics.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -964,10 +968,23 @@ fn replay_journal(shared: &Shared, d: &Durability) {
 /// Apply one journal record to the ring. `Err(())` means the record was
 /// skipped (undecodable, resealed, or out of range) and the ring is
 /// exactly as it was before the call.
+///
+/// Journals written before full-frame ingest was retired may still hold
+/// tag-9 `sketch-fleet` records; they replay as whole-epoch absorbs.
 fn replay_record(shared: &Shared, rec: &JournalRecord) -> Result<AbsorbOutcome, ()> {
     // Decode before taking the ring lock, the way the live path does:
-    // the ring only ever sees validated frames.
-    let payload = crate::replica::decode_payload(rec)?;
+    // the ring only ever sees validated frames. `Err` carries a legacy
+    // tag-9 fleet.
+    let legacy = matches!(
+        codec::peek_kind(&rec.payload),
+        Ok((_, CounterKind::SketchFleet))
+    );
+    let payload = if legacy {
+        let fleet: FleetArena = Checkpoint::restore(&rec.payload).map_err(|_| ())?;
+        Err(fleet)
+    } else {
+        Ok(crate::replica::decode_payload(rec)?)
+    };
     let mut ring = lock_ring(&shared.ring);
     let current = ring.current_epoch();
     if rec.epoch > current {
@@ -977,15 +994,14 @@ fn replay_record(shared: &Shared, rec: &JournalRecord) -> Result<AbsorbOutcome, 
         ring.advance_to(rec.epoch).map_err(|_| ())?;
     }
     match payload {
-        JobPayload::Full(fleet) => ring
-            .absorb_epoch_from(rec.source, rec.epoch, &fleet)
-            .map_err(|_| ()),
         // The replay variant: the journal's causal order guarantees
         // the baseline preceded this delta, but the snapshot may have
         // absorbed (and truncated) its record, so the live baseline
         // check would spuriously refuse the chain.
-        JobPayload::Delta(frame) => ring.absorb_delta_replay(rec.source, &frame).map_err(|_| ()),
+        Ok(frame) => ring.absorb_delta_replay(rec.source, &frame),
+        Err(fleet) => ring.absorb_epoch_from(rec.source, rec.epoch, &fleet),
     }
+    .map_err(|_| ())
 }
 
 /// Deliberately die if the configured crash point names this site and
@@ -1451,16 +1467,14 @@ fn absorber_loop(shared: &Arc<Shared>, rx: &mpsc::Receiver<Job>, durability: Opt
                 if job.epoch > current {
                     ring.advance_to(job.epoch).expect("monotone advance");
                 }
-                let absorbed = match &job.payload {
-                    JobPayload::Full(fleet) => ring.absorb_epoch_from(job.agent, job.epoch, fleet),
-                    // Replicated records ride the replay path: the
-                    // primary's journal order already proved the delta
-                    // chain, and the baseline may live only inside the
-                    // catch-up snapshot here.
-                    JobPayload::Delta(frame) if job.replay => {
-                        ring.absorb_delta_replay(job.agent, frame)
-                    }
-                    JobPayload::Delta(frame) => ring.absorb_delta_from(job.agent, frame),
+                // Replicated records ride the replay path: the primary's
+                // journal order already proved the delta chain, and the
+                // baseline may live only inside the catch-up snapshot
+                // here.
+                let absorbed = if job.replay {
+                    ring.absorb_delta_replay(job.agent, &job.payload)
+                } else {
+                    ring.absorb_delta_from(job.agent, &job.payload)
                 };
                 match absorbed {
                     Ok(outcome) => {
@@ -1476,18 +1490,11 @@ fn absorber_loop(shared: &Arc<Shared>, rx: &mpsc::Receiver<Job>, durability: Opt
                             AbsorbOutcome::Duplicate => sbitmap_stream::net::AckOutcome::Duplicate,
                             AbsorbOutcome::Expired => sbitmap_stream::net::AckOutcome::Expired,
                         };
-                        match &job.payload {
-                            JobPayload::Full(_) => Message::Ack {
-                                epoch: job.epoch,
-                                outcome,
-                                term,
-                            },
-                            JobPayload::Delta(frame) => Message::AckDelta {
-                                epoch: job.epoch,
-                                round: frame.round,
-                                outcome,
-                                term,
-                            },
+                        Message::AckDelta {
+                            epoch: job.epoch,
+                            round: job.payload.round,
+                            outcome,
+                            term,
                         }
                     }
                     Err(SBitmapError::MissingBaseline { epoch, round }) => {
@@ -1587,11 +1594,11 @@ fn absorber_loop(shared: &Arc<Shared>, rx: &mpsc::Receiver<Job>, durability: Opt
 
 /// Read events until a `Hello` arrives (tolerating deadline ticks up to
 /// the idle limit); validate its role against `accept`; send `Welcome`
-/// on success. Returns the agent id, the negotiated session protocol —
-/// `min(client, max_proto)`, so a delta-capable agent talking to a
-/// v2-only collector lands on protocol 1 and ships full frames — and
-/// the peer's role, or `None` when the session should close (the typed
-/// rejection has already been queued).
+/// on success. Every accepted session speaks [`PROTO_VERSION`]: an
+/// older peer is refused with [`ErrorCode::VersionMismatch`] carrying
+/// its own version, a newer one is welcomed at ours. Returns the agent
+/// id and the peer's role, or `None` when the session should close (the
+/// typed rejection has already been queued).
 ///
 /// Fencing happens here: a standby refuses `Ingest` and `Replicate`
 /// hellos with [`ErrorCode::NotPrimary`], and so does a *primary* whose
@@ -1602,7 +1609,7 @@ fn handshake(
     reader: &mut FrameReader<TcpStream>,
     out: &impl Fn(Message),
     accept: &[Role],
-) -> Option<(u64, u16, Role)> {
+) -> Option<(u64, Role)> {
     let mut idle = Duration::ZERO;
     let (proto, role, agent, config) = loop {
         if shared.draining() {
@@ -1669,8 +1676,7 @@ fn handshake(
             Err(NetError::Io(_)) => return None,
         }
     };
-    let session_proto = proto.min(shared.cfg.max_proto);
-    if session_proto == 0 {
+    if proto < PROTO_VERSION {
         shared
             .stats
             .handshake_rejects
@@ -1678,10 +1684,7 @@ fn handshake(
         out(Message::Error {
             code: ErrorCode::VersionMismatch,
             context: u64::from(proto),
-            detail: format!(
-                "collector speaks protocols 1..={}, peer spoke {proto}",
-                shared.cfg.max_proto
-            ),
+            detail: format!("collector speaks protocol {PROTO_VERSION}, peer spoke {proto}"),
         });
         return None;
     }
@@ -1751,11 +1754,11 @@ fn handshake(
         return None;
     }
     out(Message::Welcome {
-        proto: session_proto,
+        proto: PROTO_VERSION,
         credits: shared.cfg.credits,
         config: shared.echo.with_term(shared.term()),
     });
-    Some((agent, session_proto, role))
+    Some((agent, role))
 }
 
 /// One ingest connection: handshake, then decode batches into absorb
@@ -1799,10 +1802,10 @@ fn ingest_conn(shared: &Arc<Shared>, stream: TcpStream, job_tx: &mpsc::SyncSende
 
     let mut reader = FrameReader::new(stream);
     match handshake(shared, &mut reader, &out, &[Role::Ingest, Role::Replicate]) {
-        Some((agent, proto, Role::Ingest)) => {
-            ingest_session(shared, &mut reader, &out_tx, job_tx, agent, proto);
+        Some((agent, Role::Ingest)) => {
+            ingest_session(shared, &mut reader, &out_tx, job_tx, agent);
         }
-        Some((agent, _, Role::Replicate)) => {
+        Some((agent, Role::Replicate)) => {
             replicate_sender_session(shared, &mut reader, &out_tx, agent);
         }
         _ => {}
@@ -1900,14 +1903,13 @@ fn ingest_session(
     out_tx: &mpsc::Sender<Message>,
     job_tx: &mpsc::SyncSender<Job>,
     agent: u64,
-    proto: u16,
 ) {
     // Queue a decoded payload, blocking on the bounded job queue when
     // the absorber falls behind — up to the busy deadline, past which
     // the frame is shed with a typed `Busy` answer (overload must not
     // stall a socket forever). Returns `false` when the daemon side is
     // gone and the session should end.
-    let enqueue = |epoch: u64, payload: JobPayload, wire: Vec<u8>| -> bool {
+    let enqueue = |epoch: u64, payload: FleetDeltaFrame, wire: Vec<u8>| -> bool {
         let mut job = Job::Frame(FrameJob {
             epoch,
             agent,
@@ -1958,8 +1960,9 @@ fn ingest_session(
     let mut idle = Duration::ZERO;
     loop {
         match reader.read_event() {
-            Ok(ReadEvent::Message(Message::Batch {
+            Ok(ReadEvent::Message(Message::BatchDelta {
                 epoch,
+                round,
                 agent: frame_agent,
                 frame,
             })) => {
@@ -1974,58 +1977,13 @@ fn ingest_session(
                     let _ = out_tx.send(Message::Error {
                         code: ErrorCode::Protocol,
                         context: epoch,
-                        detail: format!("batch from agent {frame_agent} on session {agent}"),
-                    });
-                    continue;
-                }
-                match <FleetArena as Checkpoint>::restore(&frame) {
-                    Err(e) => {
-                        shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                        let _ = out_tx.send(Message::Error {
-                            code: ErrorCode::BadFrame,
-                            context: epoch,
-                            detail: e.to_string(),
-                        });
-                    }
-                    Ok(fleet) => {
-                        if !enqueue(epoch, JobPayload::Full(Box::new(fleet)), frame) {
-                            return;
-                        }
-                    }
-                }
-            }
-            Ok(ReadEvent::Message(Message::BatchDelta {
-                epoch,
-                round,
-                agent: frame_agent,
-                frame,
-            })) => {
-                idle = Duration::ZERO;
-                shared
-                    .stats
-                    .bytes_on_wire
-                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                if proto < 2 {
-                    // The negotiated session cannot carry deltas; the
-                    // agent should have fallen back to full frames.
-                    let _ = out_tx.send(Message::Error {
-                        code: ErrorCode::Protocol,
-                        context: epoch,
-                        detail: format!("delta frame on a protocol-{proto} session"),
-                    });
-                    continue;
-                }
-                if frame_agent != agent {
-                    let _ = out_tx.send(Message::Error {
-                        code: ErrorCode::Protocol,
-                        context: epoch,
                         detail: format!("delta from agent {frame_agent} on session {agent}"),
                     });
                     continue;
                 }
                 match FleetDeltaFrame::decode(&frame) {
                     Ok(delta) if delta.epoch == epoch && delta.round == round => {
-                        if !enqueue(epoch, JobPayload::Delta(delta), frame) {
+                        if !enqueue(epoch, delta, frame) {
                             return;
                         }
                     }
@@ -2227,5 +2185,40 @@ fn answer(shared: &Shared, req: &QueryRequest) -> QueryReply {
             shared.shutdown.store(true, Ordering::SeqCst);
             QueryReply::Draining
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finished_handlers_are_reaped_and_their_panics_still_counted() {
+        let daemon = Daemon::start(DaemonConfig {
+            read_deadline: Duration::from_millis(10),
+            panic_on_query: Some(77),
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let ask = |key: u64| {
+            let s = TcpStream::connect(daemon.query_addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_millis(10))).unwrap();
+            crate::agent::query_once(s, &QueryRequest::Estimate(key), Duration::from_secs(2))
+        };
+        // The first handler panics; every later accept may reap it.
+        assert!(ask(77).is_err());
+        let mut peak = 0;
+        for _ in 0..200 {
+            assert!(matches!(ask(1), Ok(Message::Reply(_))));
+            peak = peak.max(daemon.handlers.lock().unwrap().len());
+        }
+        assert!(
+            peak <= 16,
+            "handle list grew to {peak} over 201 sequential sessions"
+        );
+        daemon.drain();
+        let report = daemon.join().unwrap();
+        assert_eq!(report.connections, 201);
+        assert_eq!(report.handler_panics, 1, "a reaped panic still counts");
     }
 }

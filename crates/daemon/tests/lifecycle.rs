@@ -6,15 +6,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sbitmap_core::codec::Checkpoint;
-use sbitmap_core::{FleetArena, RateSchedule, WindowedFleet};
-use sbitmap_daemon::{query_once, run_agent, run_loopback, AgentConfig, Daemon, DaemonConfig};
+use sbitmap_core::{FleetArena, FleetDeltaFrame, RateSchedule, WindowedFleet};
+use sbitmap_daemon::{
+    query_once, run_agent_rounds, run_loopback, AgentConfig, Daemon, DaemonConfig,
+};
+use sbitmap_hash::xxh64;
 use sbitmap_stream::net::{
     encode, AckOutcome, ConfigEcho, ErrorCode, FrameReader, Message, QueryReply, QueryRequest,
-    ReadEvent, Role, PROTO_VERSION,
+    ReadEvent, Role, NET_MAGIC, PROTO_VERSION,
 };
 use sbitmap_stream::{
-    quantile_summary, run_windowed_pipeline, DeltaFrameSource, ShardFrameSource,
-    WindowedPipelineConfig,
+    quantile_summary, run_windowed_pipeline, DeltaFrameSource, WindowedPipelineConfig,
 };
 
 fn pcfg() -> WindowedPipelineConfig {
@@ -95,8 +97,8 @@ impl Client {
     }
 }
 
-/// A one-epoch tag-9 fleet frame matching `dcfg()`'s sketch shape.
-fn test_frame(keys: &[u64]) -> Vec<u8> {
+/// One epoch's fleet over `keys` (ascending), in `dcfg()`'s sketch shape.
+fn test_fleet(keys: &[u64]) -> FleetArena {
     let cfg = dcfg();
     let schedule = Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).unwrap());
     let mut fleet: FleetArena = FleetArena::with_schedule(schedule, cfg.seed);
@@ -106,7 +108,43 @@ fn test_frame(keys: &[u64]) -> Vec<u8> {
             fleet.insert_u64(k, k.wrapping_mul(1000) + item);
         }
     }
-    fleet.checkpoint()
+    fleet
+}
+
+/// [`test_fleet`] as an encoded round-0 v3 baseline for `epoch`.
+fn test_frame(epoch: u64, keys: &[u64]) -> Vec<u8> {
+    let cfg = dcfg();
+    let fleet = test_fleet(keys);
+    let schedule = fleet.schedule();
+    let mut frame = FleetDeltaFrame::new(
+        cfg.n_max,
+        cfg.m_bits,
+        schedule.split().sampling_bits(),
+        cfg.seed,
+        epoch,
+        0,
+    );
+    for &k in keys {
+        frame.push(k, fleet.slot_words(k).unwrap());
+    }
+    frame.encode()
+}
+
+/// `agent`'s round-0 batch of [`test_frame`].
+fn baseline(epoch: u64, agent: u64, keys: &[u64]) -> Message {
+    Message::BatchDelta {
+        epoch,
+        round: 0,
+        agent,
+        frame: test_frame(epoch, keys),
+    }
+}
+
+/// The agent's backlog of `pcfg`'s shard 0, and its frame count.
+fn shard0_backlog(pcfg: &WindowedPipelineConfig) -> (Vec<sbitmap_stream::EpochFrames>, usize) {
+    let backlog = DeltaFrameSource::new(pcfg, 0).unwrap().collect_epochs();
+    let frames = backlog.iter().map(|e| e.deltas.len()).sum();
+    (backlog, frames)
 }
 
 #[test]
@@ -179,35 +217,77 @@ fn handshake_rejects_config_mismatch() {
 }
 
 #[test]
-fn v2_only_collector_negotiates_down_and_still_converges() {
-    // A daemon pinned to protocol 1 must answer `Welcome { proto: 1 }`,
-    // and delta-capable agents must fall back to shipping each epoch's
-    // full checkpoint — landing on the exact same collector state.
-    let pcfg = pcfg();
-    let reference = run_windowed_pipeline(&pcfg).unwrap();
-    let old = DaemonConfig {
-        max_proto: 1,
-        ..dcfg()
-    };
-    let out = run_loopback(&pcfg, old, &[]).unwrap();
-    let expected: Vec<(u64, f64)> = reference
-        .links
-        .iter()
-        .map(|r| (r.link as u64, r.estimate))
-        .collect();
-    assert_eq!(out.report.estimates, expected, "per-link estimates");
-    for a in &out.agents {
-        assert_eq!(
-            a.frames_sent as usize, pcfg.epochs,
-            "fallback ships one full frame per epoch, not per round"
-        );
-        assert_eq!(a.baseline_resyncs, 0);
+fn protocol_1_hello_draws_version_mismatch_naming_the_peers_version() {
+    // Protocol 1 (full-frame ingest) is retired: its hello is refused
+    // outright, with the peer's own version in `context`.
+    let daemon = Daemon::start(dcfg()).unwrap();
+    let mut c = Client::connect(daemon.ingest_addr());
+    c.send(&Message::Hello {
+        proto: 1,
+        role: Role::Ingest,
+        agent: 1,
+        config: daemon.config_echo(),
+    });
+    match c.recv() {
+        Message::Error { code, context, .. } => {
+            assert_eq!(code, ErrorCode::VersionMismatch);
+            assert_eq!(context, 1, "context carries the peer's version");
+        }
+        other => panic!("expected VersionMismatch error, got {other:?}"),
     }
-    assert_eq!(
-        (out.report.frames_absorbed + out.report.expired) as usize,
-        pcfg.shards * pcfg.epochs
-    );
-    assert_eq!(out.report.missing_baselines, 0);
+    drop(c);
+    daemon.drain();
+    let report = daemon.join().unwrap();
+    assert_eq!(report.handshake_rejects, 1);
+    assert_eq!(report.frames_absorbed, 0);
+}
+
+#[test]
+fn retired_full_frame_batch_draws_typed_error_and_leaves_the_ring_untouched() {
+    // A type-3 frame (protocol 1's full-frame `Batch`: epoch, agent,
+    // tag-9 checkpoint) after a good handshake decodes as an unknown
+    // type: a typed `BadFrame` answer, the session survives, and the
+    // ring holds exactly what the later baseline put there.
+    let daemon = Daemon::start(dcfg()).unwrap();
+    let mut c = Client::connect(daemon.ingest_addr());
+    assert!(matches!(
+        c.hello(1, daemon.config_echo()),
+        Message::Welcome { .. }
+    ));
+    let mut legacy = NET_MAGIC.to_vec();
+    legacy.push(3);
+    let mut payload = 0u64.to_le_bytes().to_vec();
+    payload.extend_from_slice(&1u64.to_le_bytes());
+    payload.extend_from_slice(&test_fleet(&[4, 9]).checkpoint());
+    legacy.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    legacy.extend_from_slice(&payload);
+    let checksum = xxh64(&legacy, 0);
+    legacy.extend_from_slice(&checksum.to_le_bytes());
+    c.send_raw(&legacy);
+    match c.recv() {
+        Message::Error { code, detail, .. } => {
+            assert_eq!(code, ErrorCode::BadFrame);
+            assert!(detail.contains("unknown message type 3"), "{detail}");
+        }
+        other => panic!("expected BadFrame error, got {other:?}"),
+    }
+    c.send(&baseline(0, 1, &[5]));
+    match c.recv() {
+        Message::AckDelta { outcome, .. } => assert_eq!(outcome, AckOutcome::Absorbed),
+        other => panic!("expected AckDelta, got {other:?}"),
+    }
+    drop(c);
+    daemon.drain();
+    let report = daemon.join().unwrap();
+    assert_eq!(report.bad_frames, 1);
+    assert_eq!(report.frames_absorbed, 1);
+
+    let cfg = dcfg();
+    let schedule = Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).unwrap());
+    let mut expected: WindowedFleet =
+        WindowedFleet::with_schedule(schedule, cfg.seed, cfg.window).unwrap();
+    assert!(expected.absorb_epoch(0, &test_fleet(&[5])).unwrap());
+    assert_eq!(report.final_checkpoint, expected.checkpoint());
 }
 
 #[test]
@@ -283,28 +363,20 @@ fn mid_frame_disconnect_leaves_the_daemon_healthy() {
     {
         let mut c = Client::connect(daemon.ingest_addr());
         assert!(matches!(c.hello(1, echo), Message::Welcome { .. }));
-        let batch = encode(&Message::Batch {
-            epoch: 0,
-            agent: 1,
-            frame: test_frame(&[3]),
-        });
+        let batch = encode(&baseline(0, 1, &[3]));
         // Half a frame, then vanish.
         c.send_raw(&batch[..batch.len() / 2]);
     }
     // A well-behaved session on a fresh connection still works.
     let mut c = Client::connect(daemon.ingest_addr());
     assert!(matches!(c.hello(2, echo), Message::Welcome { .. }));
-    c.send(&Message::Batch {
-        epoch: 0,
-        agent: 2,
-        frame: test_frame(&[3]),
-    });
+    c.send(&baseline(0, 2, &[3]));
     match c.recv() {
-        Message::Ack { epoch, outcome, .. } => {
+        Message::AckDelta { epoch, outcome, .. } => {
             assert_eq!(epoch, 0);
             assert_eq!(outcome, AckOutcome::Absorbed);
         }
-        other => panic!("expected Ack, got {other:?}"),
+        other => panic!("expected AckDelta, got {other:?}"),
     }
     drop(c);
     daemon.drain();
@@ -321,11 +393,7 @@ fn corrupt_frame_draws_error_frame_and_connection_survives() {
         c.hello(1, daemon.config_echo()),
         Message::Welcome { .. }
     ));
-    let mut batch = encode(&Message::Batch {
-        epoch: 0,
-        agent: 1,
-        frame: test_frame(&[5]),
-    });
+    let mut batch = encode(&baseline(0, 1, &[5]));
     // Flip one payload byte: checksum fails, frame boundary survives.
     let mid = batch.len() / 2;
     batch[mid] ^= 0x40;
@@ -335,14 +403,10 @@ fn corrupt_frame_draws_error_frame_and_connection_survives() {
         other => panic!("expected BadFrame error, got {other:?}"),
     }
     // Same connection, clean retransmit: absorbed.
-    c.send(&Message::Batch {
-        epoch: 0,
-        agent: 1,
-        frame: test_frame(&[5]),
-    });
+    c.send(&baseline(0, 1, &[5]));
     match c.recv() {
-        Message::Ack { outcome, .. } => assert_eq!(outcome, AckOutcome::Absorbed),
-        other => panic!("expected Ack, got {other:?}"),
+        Message::AckDelta { outcome, .. } => assert_eq!(outcome, AckOutcome::Absorbed),
+        other => panic!("expected AckDelta, got {other:?}"),
     }
     drop(c);
     daemon.drain();
@@ -356,13 +420,14 @@ fn corrupt_frame_draws_error_frame_and_connection_survives() {
 fn duplicate_frames_are_acked_duplicate_and_change_nothing() {
     let daemon = Daemon::start(dcfg()).unwrap();
     let echo = daemon.config_echo();
-    let frame = test_frame(&[1, 2]);
+    let frame = test_frame(0, &[1, 2]);
     let ack = |c: &mut Client| match c.recv() {
-        Message::Ack { outcome, .. } => outcome,
-        other => panic!("expected Ack, got {other:?}"),
+        Message::AckDelta { outcome, .. } => outcome,
+        other => panic!("expected AckDelta, got {other:?}"),
     };
-    let batch = |agent| Message::Batch {
+    let batch = |agent| Message::BatchDelta {
         epoch: 0,
+        round: 0,
         agent,
         frame: frame.clone(),
     };
@@ -402,8 +467,7 @@ fn duplicate_frames_are_acked_duplicate_and_change_nothing() {
     let schedule = Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).unwrap());
     let mut expected: WindowedFleet =
         WindowedFleet::with_schedule(schedule, cfg.seed, cfg.window).unwrap();
-    let fleet: FleetArena = Checkpoint::restore(&frame).unwrap();
-    assert!(expected.absorb_epoch(0, &fleet).unwrap());
+    assert!(expected.absorb_epoch(0, &test_fleet(&[1, 2])).unwrap());
     assert_eq!(report.estimates, expected.estimates());
     assert_eq!(report.final_checkpoint, expected.checkpoint());
 }
@@ -425,15 +489,11 @@ fn slow_absorber_engages_backpressure_without_losing_frames() {
     // Fire a burst far faster than 25 ms/frame; the bounded queue must
     // fill and the handler must block (stop reading) rather than drop.
     for epoch in 0..6u64 {
-        c.send(&Message::Batch {
-            epoch,
-            agent: 1,
-            frame: test_frame(&[epoch + 10]),
-        });
+        c.send(&baseline(epoch, 1, &[epoch + 10]));
     }
     let mut acked = 0;
     while acked < 6 {
-        if let Message::Ack { outcome, .. } = c.recv() {
+        if let Message::AckDelta { outcome, .. } = c.recv() {
             assert_eq!(outcome, AckOutcome::Absorbed);
             acked += 1;
         }
@@ -467,7 +527,7 @@ fn overload_sheds_typed_busy_and_retransmits_land_every_frame() {
         c.hello(1, daemon.config_echo()),
         Message::Welcome { .. }
     ));
-    let frames: Vec<Vec<u8>> = (0..6u64).map(|e| test_frame(&[e + 20])).collect();
+    let frames: Vec<Vec<u8>> = (0..6u64).map(|e| test_frame(e, &[e + 20])).collect();
     let mut absorbed = std::collections::HashSet::new();
     let mut busy_seen = 0u64;
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -478,17 +538,18 @@ fn overload_sheds_typed_busy_and_retransmits_land_every_frame() {
         );
         let outstanding: Vec<u64> = (0..6u64).filter(|e| !absorbed.contains(e)).collect();
         for &epoch in &outstanding {
-            c.send(&Message::Batch {
+            c.send(&Message::BatchDelta {
                 epoch,
+                round: 0,
                 agent: 1,
                 frame: frames[epoch as usize].clone(),
             });
         }
-        // One reply per send: an Ack (absorbed or guard duplicate), or
-        // a typed Busy for a shed frame.
+        // One reply per send: an AckDelta (absorbed or guard
+        // duplicate), or a typed Busy for a shed frame.
         for _ in &outstanding {
             match c.recv() {
-                Message::Ack { epoch, .. } => {
+                Message::AckDelta { epoch, .. } => {
                     absorbed.insert(epoch);
                 }
                 Message::Error {
@@ -499,7 +560,7 @@ fn overload_sheds_typed_busy_and_retransmits_land_every_frame() {
                     busy_seen += 1;
                     assert!(context > 0, "the Busy answer must carry a retry-after hint");
                 }
-                other => panic!("expected Ack or Busy, got {other:?}"),
+                other => panic!("expected AckDelta or Busy, got {other:?}"),
             }
         }
     }
@@ -522,18 +583,24 @@ fn agent_backs_off_on_busy_and_still_delivers_everything() {
         ..dcfg()
     })
     .unwrap();
+    // One round per epoch: each frame is a self-contained baseline, as
+    // the full frames this test used to ship were. With more rounds an
+    // 8-frame burst spans more epochs than the window, and a frame that
+    // lands past a shed one can legitimately push that epoch out of the
+    // window (acked `Expired`, invisible to every query).
     let pcfg = WindowedPipelineConfig {
         shards: 1,
+        rounds: 1,
         ..pcfg()
     };
-    let frames = ShardFrameSource::new(&pcfg, 0).unwrap().collect_frames();
+    let (backlog, frames) = shard0_backlog(&pcfg);
     let ingest = daemon.ingest_addr();
     let acfg = AgentConfig {
         max_attempts: 200,
         ack_timeout: Duration::from_millis(300),
         ..AgentConfig::new(1, daemon.config_echo())
     };
-    let report = run_agent(&acfg, frames, |_| {
+    let report = run_agent_rounds(&acfg, backlog, |_| {
         let s = TcpStream::connect(ingest)?;
         s.set_read_timeout(Some(Duration::from_millis(10)))?;
         Ok(s)
@@ -543,12 +610,12 @@ fn agent_backs_off_on_busy_and_still_delivers_everything() {
         report.busy_backoffs > 0,
         "the overloaded collector must shed at least once"
     );
-    assert_eq!(report.frames_acked as usize, pcfg.epochs);
+    assert_eq!(report.frames_acked as usize, frames);
     daemon.drain();
     let dreport = daemon.join().unwrap();
     assert!(dreport.busy_rejections > 0);
     assert_eq!(
-        dreport.frames_absorbed as usize, pcfg.epochs,
+        dreport.frames_absorbed as usize, frames,
         "shedding plus at-least-once retransmission loses nothing"
     );
 }
@@ -593,27 +660,28 @@ fn query_port_answers_every_kind_and_drains() {
     };
     let daemon = Daemon::start(dcfg()).unwrap();
     let echo = daemon.config_echo();
-    let frames = ShardFrameSource::new(&pcfg, 0).unwrap().collect_frames();
+    let (backlog, frames) = shard0_backlog(&pcfg);
 
-    // Build the expected ring locally from the same frames.
+    // Build the expected ring locally from each epoch's final full
+    // checkpoint: the delta chains the agent ships must land on it.
     let cfg = dcfg();
     let schedule = Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).unwrap());
     let mut expected: WindowedFleet =
         WindowedFleet::with_schedule(schedule, cfg.seed, cfg.window).unwrap();
-    for (epoch, frame) in &frames {
-        let fleet: FleetArena = Checkpoint::restore(frame).unwrap();
-        expected.advance_to(*epoch).unwrap();
-        assert!(expected.absorb_epoch(*epoch, &fleet).unwrap());
+    for ef in &backlog {
+        let fleet: FleetArena = Checkpoint::restore(ef.fulls.last().unwrap()).unwrap();
+        expected.advance_to(ef.epoch).unwrap();
+        assert!(expected.absorb_epoch(ef.epoch, &fleet).unwrap());
     }
 
     let ingest = daemon.ingest_addr();
-    let report = run_agent(&AgentConfig::new(1, echo), frames, |_| {
+    let report = run_agent_rounds(&AgentConfig::new(1, echo), backlog, |_| {
         let s = TcpStream::connect(ingest)?;
         s.set_read_timeout(Some(Duration::from_millis(10)))?;
         Ok(s)
     })
     .unwrap();
-    assert_eq!(report.frames_acked as usize, pcfg.epochs);
+    assert_eq!(report.frames_acked as usize, frames);
 
     let qaddr = daemon.query_addr();
     let ask = move |req: &QueryRequest| -> QueryReply {
@@ -674,14 +742,10 @@ fn panicked_query_handler_does_not_poison_ingest() {
     // something to estimate.
     let mut c = Client::connect(daemon.ingest_addr());
     c.hello(1, echo);
-    c.send(&Message::Batch {
-        epoch: 0,
-        agent: 1,
-        frame: test_frame(&[5, 6]),
-    });
+    c.send(&baseline(0, 1, &[5, 6]));
     match c.recv() {
-        Message::Ack { outcome, .. } => assert_eq!(outcome, AckOutcome::Absorbed),
-        other => panic!("expected Ack, got {other:?}"),
+        Message::AckDelta { outcome, .. } => assert_eq!(outcome, AckOutcome::Absorbed),
+        other => panic!("expected AckDelta, got {other:?}"),
     }
 
     // Trip the booby-trapped key: the handler dies mid-lock and the
@@ -696,14 +760,10 @@ fn panicked_query_handler_does_not_poison_ingest() {
     // The daemon shrugged it off: ingest still absorbs...
     let mut c2 = Client::connect(daemon.ingest_addr());
     c2.hello(2, echo);
-    c2.send(&Message::Batch {
-        epoch: 0,
-        agent: 2,
-        frame: test_frame(&[8]),
-    });
+    c2.send(&baseline(0, 2, &[8]));
     match c2.recv() {
-        Message::Ack { outcome, .. } => assert_eq!(outcome, AckOutcome::Absorbed),
-        other => panic!("expected Ack after the panic, got {other:?}"),
+        Message::AckDelta { outcome, .. } => assert_eq!(outcome, AckOutcome::Absorbed),
+        other => panic!("expected AckDelta after the panic, got {other:?}"),
     }
     // ...and queries still answer.
     let s = TcpStream::connect(daemon.query_addr()).unwrap();

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use sbitmap_core::RateSchedule;
 use sbitmap_daemon::{
-    query_once, run_agent, run_agent_rounds_failover, run_loopback_replicated, AgentConfig,
+    query_once, run_agent_rounds, run_agent_rounds_failover, run_loopback_replicated, AgentConfig,
     Backoff, Daemon, DaemonConfig,
 };
 use sbitmap_stream::net::{
@@ -20,7 +20,8 @@ use sbitmap_stream::net::{
     ReadEvent, Role, PROTO_VERSION,
 };
 use sbitmap_stream::{
-    quantile_summary, run_windowed_pipeline, DeltaFrameSource, FaultPlan, WindowedPipelineConfig,
+    quantile_summary, run_windowed_pipeline, DeltaFrameSource, EpochFrames, FaultPlan,
+    WindowedPipelineConfig,
 };
 
 fn pcfg() -> WindowedPipelineConfig {
@@ -254,16 +255,21 @@ fn stale_term_acks_are_discarded() {
         },
         ..AgentConfig::new(1, echo())
     };
-    let frames = vec![(0u64, vec![1, 2, 3])];
-    let report = run_agent(&cfg, frames, |attempt| {
+    let backlog = vec![EpochFrames {
+        epoch: 0,
+        fulls: Vec::new(),
+        deltas: vec![vec![1, 2, 3]],
+    }];
+    let report = run_agent_rounds(&cfg, backlog, |attempt| {
         Ok::<Script, io::Error>(if attempt == 0 {
             // A deposed primary: welcomes with the fleet's term (5) but
             // acks with the fenced one it was elected in (3). The agent
             // must not count that ack — the frame stays pending.
             Script::new(&[
                 welcome(5),
-                Message::Ack {
+                Message::AckDelta {
                     epoch: 0,
+                    round: 0,
                     outcome: AckOutcome::Absorbed,
                     term: 3,
                 },
@@ -271,8 +277,9 @@ fn stale_term_acks_are_discarded() {
         } else {
             Script::new(&[
                 welcome(5),
-                Message::Ack {
+                Message::AckDelta {
                     epoch: 0,
+                    round: 0,
                     outcome: AckOutcome::Absorbed,
                     term: 5,
                 },

@@ -36,14 +36,12 @@ use sbitmap_hash::xxh64;
 /// Frame magic: distinguishes session frames from raw v2 checkpoint
 /// frames ("SBMP") on the wire.
 pub const NET_MAGIC: [u8; 4] = *b"SBND";
-/// Protocol version spoken by this build. Version 2 adds the v3
-/// fleet-delta messages ([`Message::BatchDelta`] / [`Message::AckDelta`]).
-/// The handshake negotiates *down*: the daemon answers a Hello with
-/// `Welcome.proto = min(client, daemon)`, so a proto-1 peer keeps working
-/// (its session simply carries full v2 frames only, and the delta
-/// messages are a [`ErrorCode::Protocol`] error on it). Only a proto the
-/// daemon cannot speak at all (0) is rejected with
-/// [`ErrorCode::VersionMismatch`].
+/// Protocol version spoken by this build. Version 2 ships sketches only
+/// as v3 fleet-delta chains ([`Message::BatchDelta`] /
+/// [`Message::AckDelta`]); version 1's full-frame messages (types 3 and
+/// 4) are retired and decode as unknown types. The daemon answers a
+/// Hello below this version with [`ErrorCode::VersionMismatch`] and
+/// welcomes a newer one at this version.
 pub const PROTO_VERSION: u16 = 2;
 /// Hard cap on a frame's declared payload length, enforced before any
 /// allocation. Generous: the largest legitimate payload is an epoch
@@ -436,26 +434,6 @@ pub enum Message {
         /// The daemon's sketch configuration.
         config: ConfigEcho,
     },
-    /// One epoch's `sketch-fleet` checkpoint from a node agent.
-    Batch {
-        /// Absolute epoch the frame belongs to.
-        epoch: u64,
-        /// The shipping agent's identity.
-        agent: u64,
-        /// A complete v2 `sketch-fleet` checkpoint frame (tag 9).
-        frame: Vec<u8>,
-    },
-    /// Daemon → agent batch acknowledgement.
-    Ack {
-        /// The acknowledged epoch.
-        epoch: u64,
-        /// What the collector did with the frame.
-        outcome: AckOutcome,
-        /// The acking collector's fencing term. Agents discard acks
-        /// whose term is below the highest they have seen — a deposed
-        /// primary cannot retire frames the new primary never absorbed.
-        term: u64,
-    },
     /// A typed error frame; whether the connection survives depends on
     /// the code (see [`ErrorCode`]).
     Error {
@@ -473,8 +451,7 @@ pub enum Message {
     Query(QueryRequest),
     /// Daemon → client answer.
     Reply(QueryReply),
-    /// One round of an epoch's v3 delta chain from a node agent
-    /// (proto ≥ 2 sessions only).
+    /// One round of an epoch's v3 delta chain from a node agent.
     BatchDelta {
         /// Absolute epoch the chain belongs to.
         epoch: u64,
@@ -485,7 +462,7 @@ pub enum Message {
         /// A complete v3 `fleet-delta` frame (tag 11).
         frame: Vec<u8>,
     },
-    /// Daemon → agent delta acknowledgement (proto ≥ 2 sessions only).
+    /// Daemon → agent delta acknowledgement.
     AckDelta {
         /// The acknowledged epoch.
         epoch: u64,
@@ -493,7 +470,9 @@ pub enum Message {
         round: u32,
         /// What the collector did with the frame.
         outcome: AckOutcome,
-        /// The acking collector's fencing term (see [`Message::Ack`]).
+        /// The acking collector's fencing term. Agents discard acks
+        /// whose term is below the highest they have seen — a deposed
+        /// primary cannot retire frames the new primary never absorbed.
         term: u64,
     },
     /// Primary → standby: one write-ahead journal record, shipped
@@ -599,8 +578,6 @@ fn message_tag(msg: &Message) -> u8 {
     match msg {
         Message::Hello { .. } => 1,
         Message::Welcome { .. } => 2,
-        Message::Batch { .. } => 3,
-        Message::Ack { .. } => 4,
         Message::Error { .. } => 5,
         Message::Goodbye => 6,
         Message::Query(_) => 7,
@@ -634,24 +611,6 @@ fn write_payload(msg: &Message, out: &mut Vec<u8>) {
             out.extend_from_slice(&proto.to_le_bytes());
             out.extend_from_slice(&credits.to_le_bytes());
             config.write(out);
-        }
-        Message::Batch {
-            epoch,
-            agent,
-            frame,
-        } => {
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.extend_from_slice(&agent.to_le_bytes());
-            out.extend_from_slice(frame);
-        }
-        Message::Ack {
-            epoch,
-            outcome,
-            term,
-        } => {
-            out.extend_from_slice(&epoch.to_le_bytes());
-            out.push(outcome.to_wire());
-            out.extend_from_slice(&term.to_le_bytes());
         }
         Message::Error {
             code,
@@ -770,21 +729,6 @@ fn read_payload(tag: u8, payload: &[u8]) -> Result<Message, String> {
             proto: r.u16()?,
             credits: r.u32()?,
             config: ConfigEcho::read(&mut r)?,
-        },
-        3 => {
-            let epoch = r.u64()?;
-            let agent = r.u64()?;
-            let frame = r.rest().to_vec();
-            Message::Batch {
-                epoch,
-                agent,
-                frame,
-            }
-        }
-        4 => Message::Ack {
-            epoch: r.u64()?,
-            outcome: AckOutcome::from_wire(r.u8()?)?,
-            term: r.u64()?,
         },
         5 => {
             let code = ErrorCode::from_wire(r.u16()?)?;
@@ -1103,16 +1047,6 @@ mod tests {
                 credits: 4,
                 config,
             },
-            Message::Batch {
-                epoch: 3,
-                agent: 7,
-                frame: vec![0xde, 0xad, 0xbe, 0xef],
-            },
-            Message::Ack {
-                epoch: 3,
-                outcome: AckOutcome::Duplicate,
-                term: 1,
-            },
             Message::Error {
                 code: ErrorCode::BadFrame,
                 context: 3,
@@ -1225,10 +1159,11 @@ mod tests {
     fn corrupt_payload_is_survivable_but_bad_magic_is_fatal() {
         let good = encode(&Message::Goodbye);
         // Flip a payload-region bit... Goodbye has no payload, so use an
-        // Ack and corrupt its epoch byte: checksum now fails, but the
-        // header (hence frame alignment) is intact.
-        let mut wire = encode(&Message::Ack {
+        // AckDelta and corrupt its epoch byte: checksum now fails, but
+        // the header (hence frame alignment) is intact.
+        let mut wire = encode(&Message::AckDelta {
             epoch: 1,
+            round: 0,
             outcome: AckOutcome::Absorbed,
             term: 0,
         });
@@ -1263,8 +1198,9 @@ mod tests {
 
     #[test]
     fn eof_mid_frame_is_a_desync_not_a_hang() {
-        let wire = encode(&Message::Ack {
+        let wire = encode(&Message::AckDelta {
             epoch: 9,
+            round: 1,
             outcome: AckOutcome::Expired,
             term: 0,
         });
@@ -1329,8 +1265,9 @@ mod tests {
         // Any single-bit flip anywhere in a frame must surface as a
         // typed outcome (Corrupt / Desync), never a panic and never a
         // silently different message.
-        let wire = encode(&Message::Batch {
+        let wire = encode(&Message::BatchDelta {
             epoch: 5,
+            round: 0,
             agent: 3,
             frame: vec![1, 2, 3, 4, 5, 6, 7, 8],
         });
@@ -1355,15 +1292,17 @@ mod tests {
         // After the first (largest) frame sizes the buffer, later frames
         // of at most that size must not grow it — one allocation serves
         // the whole session.
-        let big = Message::Batch {
+        let big = Message::BatchDelta {
             epoch: 1,
+            round: 0,
             agent: 2,
             frame: vec![0xab; 4096],
         };
         let mut wire = encode(&big);
         for epoch in 0..50u64 {
-            wire.extend_from_slice(&encode(&Message::Ack {
+            wire.extend_from_slice(&encode(&Message::AckDelta {
                 epoch,
+                round: 0,
                 outcome: AckOutcome::Absorbed,
                 term: 0,
             }));
@@ -1371,7 +1310,7 @@ mod tests {
         let mut reader = FrameReader::new(wire.as_slice());
         assert!(matches!(
             reader.read_event().unwrap(),
-            ReadEvent::Message(Message::Batch { .. })
+            ReadEvent::Message(Message::BatchDelta { .. })
         ));
         let cap = reader.buffer_capacity();
         let mut acks = 0;
@@ -1380,6 +1319,31 @@ mod tests {
             assert_eq!(reader.buffer_capacity(), cap, "no per-frame growth");
         }
         assert_eq!(acks, 50);
+    }
+
+    #[test]
+    fn retired_full_frame_types_decode_as_unknown() {
+        // Types 3 and 4 (protocol 1's full-frame batch and its ack) are
+        // gone: a well-formed frame carrying either is a typed
+        // corruption, and the stream stays aligned behind it.
+        for tag in [3u8, 4] {
+            let mut wire = NET_MAGIC.to_vec();
+            wire.push(tag);
+            wire.extend_from_slice(&17u32.to_le_bytes());
+            wire.extend_from_slice(&[0u8; 17]);
+            let checksum = xxh64(&wire, 0);
+            wire.extend_from_slice(&checksum.to_le_bytes());
+            wire.extend_from_slice(&encode(&Message::Goodbye));
+            let mut reader = FrameReader::new(wire.as_slice());
+            match reader.read_event().unwrap() {
+                ReadEvent::Corrupt(e) => assert!(e.contains("unknown message type"), "{e}"),
+                other => panic!("type {tag}: expected Corrupt, got {other:?}"),
+            }
+            assert!(matches!(
+                reader.read_event().unwrap(),
+                ReadEvent::Message(Message::Goodbye)
+            ));
+        }
     }
 
     #[test]
