@@ -5,13 +5,20 @@
 //!
 //! ```text
 //! ingest accept loop ──spawns──▶ per-connection handler
-//!                                  ├─ reader (the handler thread):
+//!  (blocks in accept)              ├─ reader (the handler thread):
 //!                                  │    handshake, decode batches,
 //!                                  │    push absorb jobs
 //!                                  └─ writer thread: acks + errors
 //! query accept loop  ──spawns──▶ per-connection request/reply handler
+//!  (blocks in accept)
 //! absorber thread    ◀── bounded sync_channel of decoded jobs
 //! ```
+//!
+//! The accept loops never poll: each blocks in `accept()`, so a new
+//! connection is served the moment it arrives. A drain sets the flag and
+//! then wakes both loops with one loopback connect per listener
+//! (`Shared::request_drain`); an acceptor that gets a socket while the
+//! flag is set drops it uncounted and exits.
 //!
 //! The **bounded absorb queue is the backpressure mechanism**: when the
 //! absorber falls behind, `try_send` fails, the handler counts a
@@ -29,7 +36,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -44,7 +51,7 @@ use sbitmap_core::{
 };
 use sbitmap_stream::net::{
     ConfigEcho, ErrorCode, FrameReader, Message, NetError, NodeRole, QueryReply, QueryRequest,
-    ReadEvent, Role, PROTO_VERSION,
+    ReadEvent, Role, HELLO_PAYLOAD_LEN, MAX_PAYLOAD, PROTO_VERSION,
 };
 use sbitmap_stream::quantile_summary;
 
@@ -54,9 +61,23 @@ use sbitmap_stream::quantile_summary;
 /// collector.
 const MAX_EPOCH_JUMP: u64 = 1 << 20;
 
-/// How long the accept loops sleep between polls of the shutdown flag
-/// when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long an accept loop backs off after `accept` itself fails (out
+/// of file descriptors: `EMFILE`/`ENFILE`) before it tries again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// How long a drain waits on each loopback wake connect. A listener
+/// whose acceptor is blocked in `accept` has room in its backlog, so the
+/// connect completes at once; the bound only matters when it is not.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Payload cap on every frame a daemon session reads before its
+/// `Welcome`: room for a `Hello`, nothing more, so an unauthenticated
+/// peer cannot make a handler buffer a [`MAX_PAYLOAD`]-sized frame.
+/// Query sessions keep it for good (their requests are a few bytes);
+/// ingest and replicate sessions raise it to [`MAX_PAYLOAD`] once
+/// welcomed.
+const HANDSHAKE_PAYLOAD_CAP: usize = HELLO_PAYLOAD_LEN.next_power_of_two();
+const _: () = assert!(HANDSHAKE_PAYLOAD_CAP <= 256);
 
 /// How long a handler sleeps between retries while the absorb queue is
 /// full, before the [`DaemonConfig::busy_timeout`] deadline sheds the
@@ -265,7 +286,8 @@ pub struct DaemonReport {
     /// The complete tag-10 checkpoint of the drained ring (also written
     /// to [`DaemonConfig::checkpoint_path`] when set).
     pub final_checkpoint: Vec<u8>,
-    /// Ingest + query connections accepted.
+    /// Ingest + query connections accepted (the drain's own wake-up
+    /// connects are not counted).
     pub connections: u64,
     /// Batch frames folded into the ring.
     pub frames_absorbed: u64,
@@ -389,6 +411,10 @@ enum CompleterEvent {
 pub(crate) struct Shared {
     pub(crate) cfg: DaemonConfig,
     pub(crate) echo: ConfigEcho,
+    /// The bound ingest listener address (port 0 resolved).
+    ingest_addr: SocketAddr,
+    /// The bound query listener address.
+    query_addr: SocketAddr,
     ring: Mutex<WindowedFleet>,
     shutdown: AtomicBool,
     /// Set while the absorber replays the journal tail after a restart;
@@ -419,6 +445,28 @@ pub(crate) struct Shared {
 impl Shared {
     pub(crate) fn draining(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Set the drain flag, then wake both accept loops out of their
+    /// blocking `accept` with one loopback connect per listener. Every
+    /// drain goes through here, and it is idempotent: calling it again
+    /// re-sends the wake, which is how [`Daemon::join`] makes sure a
+    /// lost connect cannot leave an acceptor blocked.
+    fn request_drain(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for addr in [self.ingest_addr, self.query_addr] {
+            // A listener bound to the unspecified address accepts on
+            // loopback too; dial that instead of the wildcard.
+            let ip = match addr.ip() {
+                IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                ip => ip,
+            };
+            // Refused once the acceptor has exited and dropped its
+            // listener — then there is nothing left to wake.
+            let _ =
+                TcpStream::connect_timeout(&SocketAddr::new(ip, addr.port()), WAKE_CONNECT_TIMEOUT);
+        }
     }
 
     fn recovering(&self) -> bool {
@@ -491,8 +539,6 @@ fn lock_ring(ring: &Mutex<WindowedFleet>) -> MutexGuard<'_, WindowedFleet> {
 /// serving threads; always drain + join.
 pub struct Daemon {
     shared: Arc<Shared>,
-    ingest_addr: SocketAddr,
-    query_addr: SocketAddr,
     accept_threads: Vec<JoinHandle<()>>,
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     absorber: JoinHandle<()>,
@@ -547,13 +593,13 @@ impl Daemon {
             .map_err(|e| format!("bind {}: {e}", cfg.query_addr))?;
         let ingest_addr = ingest.local_addr().map_err(|e| e.to_string())?;
         let query_addr = query.local_addr().map_err(|e| e.to_string())?;
-        ingest.set_nonblocking(true).map_err(|e| e.to_string())?;
-        query.set_nonblocking(true).map_err(|e| e.to_string())?;
 
         let is_standby = cfg.standby_of.is_some();
         let shared = Arc::new(Shared {
             cfg,
             echo,
+            ingest_addr,
+            query_addr,
             ring: Mutex::new(ring),
             shutdown: AtomicBool::new(false),
             recovering: AtomicBool::new(must_replay),
@@ -605,8 +651,6 @@ impl Daemon {
         }
         Ok(Self {
             shared,
-            ingest_addr,
-            query_addr,
             accept_threads,
             handlers,
             absorber,
@@ -617,12 +661,12 @@ impl Daemon {
 
     /// The bound ingest address (resolves port 0).
     pub fn ingest_addr(&self) -> SocketAddr {
-        self.ingest_addr
+        self.shared.ingest_addr
     }
 
     /// The bound query address.
     pub fn query_addr(&self) -> SocketAddr {
-        self.query_addr
+        self.shared.query_addr
     }
 
     /// The sketch configuration the daemon echoes in handshakes.
@@ -630,11 +674,11 @@ impl Daemon {
         self.shared.echo
     }
 
-    /// Flip the drain flag: acceptors stop, open connections are told
-    /// [`ErrorCode::Draining`] on their next deadline tick, in-flight
-    /// frames finish absorbing.
+    /// Flip the drain flag and wake the acceptors: they stop at once,
+    /// open connections are told [`ErrorCode::Draining`] on their next
+    /// deadline tick, in-flight frames finish absorbing.
     pub fn drain(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.request_drain();
     }
 
     /// `true` once a drain has been requested (locally or via a
@@ -668,10 +712,10 @@ impl Daemon {
         self.shared.promote()
     }
 
-    /// Block until the daemon has fully drained (the flag must be — or
-    /// become — set, e.g. via [`Daemon::drain`] or a remote
-    /// [`QueryRequest::Drain`]), write the final ring checkpoint, and
-    /// return the report.
+    /// Drain (a no-op beyond re-sending the acceptor wake when
+    /// [`Daemon::drain`] or a remote [`QueryRequest::Drain`] already
+    /// did), block until the daemon has fully drained, write the final
+    /// ring checkpoint, and return the report.
     ///
     /// # Errors
     ///
@@ -683,6 +727,10 @@ impl Daemon {
         // The standby replication client polls both the drain flag and
         // the promote stop flag; it exits within one read deadline.
         self.shared.standby_stop.store(true, Ordering::SeqCst);
+        // Wake the acceptors again: the drain that set the flag may have
+        // lost its loopback connect, and an acceptor blocked in `accept`
+        // would then never see the flag.
+        self.shared.request_drain();
         for t in self.accept_threads {
             t.join().map_err(|_| "accept thread panicked".to_string())?;
         }
@@ -757,12 +805,16 @@ impl Daemon {
 }
 
 /// Accept until the drain flag flips, spawning one handler per
-/// connection. `make_handler` builds the per-connection closure (which
-/// captures the shared state and, for ingest, a queue sender). Each
-/// accept first joins the handlers that have already finished, so the
-/// handle list tracks live connections rather than every connection the
-/// daemon ever served; their panics count toward
-/// [`DaemonReport::handler_panics`] like the ones [`Daemon::join`] finds.
+/// connection. The loop blocks in `accept`; a drain wakes it with a
+/// loopback connect ([`Shared::request_drain`]), and any socket accepted
+/// once the flag is set — the wake, or a peer that lost the race with
+/// the drain — is dropped uncounted. `make_handler` builds the
+/// per-connection closure (which captures the shared state and, for
+/// ingest, a queue sender). Each accept first joins the handlers that
+/// have already finished, so the handle list tracks live connections
+/// rather than every connection the daemon ever served; their panics
+/// count toward [`DaemonReport::handler_panics`] like the ones
+/// [`Daemon::join`] finds.
 fn accept_loop<F, G>(
     shared: &Arc<Shared>,
     listener: &TcpListener,
@@ -772,13 +824,11 @@ fn accept_loop<F, G>(
     F: Fn(Arc<Shared>, TcpStream) -> G,
     G: FnOnce() + Send + 'static,
 {
-    while !shared.draining() {
+    loop {
         match listener.accept() {
+            _ if shared.draining() => return,
             Ok((stream, _)) => {
                 shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                // Accepted sockets must block (with timeouts); only the
-                // listener polls.
-                let _ = stream.set_nonblocking(false);
                 let handler = make_handler(shared.clone(), stream);
                 let mut live = handlers
                     .lock()
@@ -790,10 +840,7 @@ fn accept_loop<F, G>(
                 join_handlers(done, &shared.stats);
                 live.push(std::thread::spawn(handler));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -1592,6 +1639,14 @@ fn absorber_loop(shared: &Arc<Shared>, rx: &mpsc::Receiver<Job>, durability: Opt
     let _ = completer.join();
 }
 
+/// A session's reader, capped at [`HANDSHAKE_PAYLOAD_CAP`] until the
+/// session raises it after its `Welcome`.
+fn handshake_reader(stream: TcpStream) -> FrameReader<TcpStream> {
+    let mut reader = FrameReader::new(stream);
+    reader.set_payload_cap(HANDSHAKE_PAYLOAD_CAP);
+    reader
+}
+
 /// Read events until a `Hello` arrives (tolerating deadline ticks up to
 /// the idle limit); validate its role against `accept`; send `Welcome`
 /// on success. Every accepted session speaks [`PROTO_VERSION`]: an
@@ -1800,15 +1855,17 @@ fn ingest_conn(shared: &Arc<Shared>, stream: TcpStream, job_tx: &mpsc::SyncSende
         let _ = out_tx.send(msg);
     };
 
-    let mut reader = FrameReader::new(stream);
-    match handshake(shared, &mut reader, &out, &[Role::Ingest, Role::Replicate]) {
-        Some((agent, Role::Ingest)) => {
+    let mut reader = handshake_reader(stream);
+    if let Some((agent, role)) =
+        handshake(shared, &mut reader, &out, &[Role::Ingest, Role::Replicate])
+    {
+        // Welcomed: the peer may now send full-size frames.
+        reader.set_payload_cap(MAX_PAYLOAD);
+        if role == Role::Ingest {
             ingest_session(shared, &mut reader, &out_tx, job_tx, agent);
-        }
-        Some((agent, Role::Replicate)) => {
+        } else {
             replicate_sender_session(shared, &mut reader, &out_tx, agent);
         }
-        _ => {}
     }
     drop(out_tx);
     let _ = writer.join();
@@ -2065,7 +2122,7 @@ fn query_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.cfg.read_deadline));
     let _ = stream.set_write_timeout(Some(shared.cfg.write_deadline));
-    let mut reader = FrameReader::new(stream);
+    let mut reader = handshake_reader(stream);
     // Replies are synchronous here, so the handshake writes directly.
     let pending = Mutex::new(Vec::new());
     let queue = |msg: Message| pending.lock().unwrap().push(msg);
@@ -2182,7 +2239,7 @@ fn answer(shared: &Shared, req: &QueryRequest) -> QueryReply {
             term: shared.promote(),
         },
         QueryRequest::Drain => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.request_drain();
             QueryReply::Draining
         }
     }
@@ -2220,5 +2277,84 @@ mod tests {
         let report = daemon.join().unwrap();
         assert_eq!(report.connections, 201);
         assert_eq!(report.handler_panics, 1, "a reaped panic still counts");
+    }
+
+    /// `join` on another thread, failing the test (instead of hanging
+    /// it) if the daemon is not fully down within 1 s.
+    fn join_within_1s(daemon: Daemon) -> DaemonReport {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(daemon.join());
+        });
+        rx.recv_timeout(Duration::from_secs(1))
+            .expect("join still blocked after 1 s")
+            .unwrap()
+    }
+
+    #[test]
+    fn local_drain_wakes_acceptors_that_never_saw_a_connection() {
+        let daemon = Daemon::start(DaemonConfig::default()).unwrap();
+        let start = Instant::now();
+        daemon.drain();
+        let report = join_within_1s(daemon);
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert_eq!(report.connections, 0, "wake sockets are not sessions");
+    }
+
+    #[test]
+    fn remote_drain_releases_the_ingest_acceptor_too() {
+        let daemon = Daemon::start(DaemonConfig::default()).unwrap();
+        let s = TcpStream::connect(daemon.query_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_millis(10))).unwrap();
+        let reply = crate::agent::query_once(s, &QueryRequest::Drain, Duration::from_secs(2));
+        assert!(matches!(reply, Ok(Message::Reply(QueryReply::Draining))));
+        // Both acceptors exit on the remote drain's own wake, before
+        // `join` re-sends it.
+        let start = Instant::now();
+        while !daemon.accept_threads.iter().all(JoinHandle::is_finished) {
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "an acceptor is still blocked 1 s after a remote drain"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let report = join_within_1s(daemon);
+        assert_eq!(report.connections, 1, "only the query session counts");
+        assert_eq!(report.queries, 1);
+    }
+
+    #[test]
+    fn wildcard_bound_daemon_drains_and_joins() {
+        let daemon = Daemon::start(DaemonConfig {
+            ingest_addr: "0.0.0.0:0".into(),
+            query_addr: "0.0.0.0:0".into(),
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        assert!(daemon.ingest_addr().ip().is_unspecified());
+        daemon.drain();
+        let report = join_within_1s(daemon);
+        assert_eq!(report.connections, 0);
+    }
+
+    #[test]
+    fn an_encoded_hello_fits_under_the_handshake_cap() {
+        let hello = Message::Hello {
+            proto: PROTO_VERSION,
+            role: Role::Replicate,
+            agent: u64::MAX,
+            config: ConfigEcho {
+                n_max: u64::MAX,
+                m: u64::MAX,
+                sampling_bits: u32::MAX,
+                seed: u64::MAX,
+                window: u64::MAX,
+                term: u64::MAX,
+            },
+        };
+        let wire = sbitmap_stream::net::encode(&hello);
+        let mut reader = FrameReader::new(wire.as_slice());
+        reader.set_payload_cap(HANDSHAKE_PAYLOAD_CAP);
+        assert!(matches!(reader.read_event(), Ok(ReadEvent::Message(m)) if m == hello));
     }
 }

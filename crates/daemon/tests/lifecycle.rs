@@ -417,6 +417,60 @@ fn corrupt_frame_draws_error_frame_and_connection_survives() {
 }
 
 #[test]
+fn oversized_frame_before_hello_desyncs_and_welcomed_sessions_ship_full_frames() {
+    // Before `Hello` a peer is held to a handshake-sized cap: a header
+    // declaring 1 MiB is a desync, answered and closed on the spot
+    // rather than buffered.
+    let daemon = Daemon::start(dcfg()).unwrap();
+    let mut c = Client::connect(daemon.ingest_addr());
+    let mut header = NET_MAGIC.to_vec();
+    header.push(1);
+    header.extend_from_slice(&(1u32 << 20).to_le_bytes());
+    c.send_raw(&header);
+    match c.recv() {
+        Message::Error { code, .. } => assert_eq!(code, ErrorCode::Desync),
+        other => panic!("expected Desync error, got {other:?}"),
+    }
+    let start = Instant::now();
+    loop {
+        match c.reader.read_event() {
+            Ok(ReadEvent::Closed) | Err(_) => break,
+            Ok(ReadEvent::TimedOut) => {
+                assert!(start.elapsed() < Duration::from_secs(2), "socket left open");
+            }
+            other => panic!("expected the socket to close, got {other:?}"),
+        }
+    }
+    // A welcomed session is lifted to the full cap.
+    let keys: Vec<u64> = (0..400).collect();
+    let big = baseline(0, 2, &keys);
+    let Message::BatchDelta { frame, .. } = &big else {
+        unreachable!()
+    };
+    assert!(
+        frame.len() > 16 << 10,
+        "frame is only {} bytes",
+        frame.len()
+    );
+    let mut ok = Client::connect(daemon.ingest_addr());
+    assert!(matches!(
+        ok.hello(2, daemon.config_echo()),
+        Message::Welcome { .. }
+    ));
+    ok.send(&big);
+    match ok.recv() {
+        Message::AckDelta { outcome, .. } => assert_eq!(outcome, AckOutcome::Absorbed),
+        other => panic!("expected AckDelta, got {other:?}"),
+    }
+    drop(ok);
+    daemon.drain();
+    let report = daemon.join().unwrap();
+    assert_eq!(report.desyncs, 1);
+    assert_eq!(report.frames_absorbed, 1);
+    assert_eq!(report.estimates.len(), keys.len());
+}
+
+#[test]
 fn duplicate_frames_are_acked_duplicate_and_change_nothing() {
     let daemon = Daemon::start(dcfg()).unwrap();
     let echo = daemon.config_echo();

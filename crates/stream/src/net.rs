@@ -24,9 +24,12 @@
 //!   partial frames across read timeouts ([`ReadEvent::TimedOut`]), so a
 //!   connection handler can poll a shutdown flag on its read deadline
 //!   without ever tearing a frame.
-//! * **Bounded allocation.** The declared payload length is capped at
-//!   [`MAX_PAYLOAD`] *before* any buffer grows, mirroring the hostile
-//!   -input rules of the checkpoint codec.
+//! * **Bounded allocation.** The declared payload length is capped
+//!   *before* any buffer grows, mirroring the hostile-input rules of the
+//!   checkpoint codec: at [`MAX_PAYLOAD`] by default, lower where the
+//!   caller knows better ([`FrameReader::set_payload_cap`] — the daemon
+//!   holds an unauthenticated peer to [`HELLO_PAYLOAD_LEN`]-sized frames
+//!   until its handshake is done).
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -47,6 +50,10 @@ pub const PROTO_VERSION: u16 = 2;
 /// allocation. Generous: the largest legitimate payload is an epoch
 /// fleet checkpoint (~1 KiB per link at the paper's `m = 8000`).
 pub const MAX_PAYLOAD: usize = 1 << 26;
+/// Payload bytes of a [`Message::Hello`]: proto (2) + role (1) +
+/// agent (8) + the [`ConfigEcho`] (44). What a server may size its
+/// pre-handshake frame cap from.
+pub const HELLO_PAYLOAD_LEN: usize = 2 + 1 + 8 + ConfigEcho::WIRE_LEN;
 
 /// Frame header: magic (4) + type (1) + payload length (4, LE).
 const HEADER_LEN: usize = 9;
@@ -82,6 +89,9 @@ pub struct ConfigEcho {
 }
 
 impl ConfigEcho {
+    /// Encoded size: five `u64` fields and the `u32` sampling width.
+    const WIRE_LEN: usize = 5 * 8 + 4;
+
     fn write(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.n_max.to_le_bytes());
         out.extend_from_slice(&self.m.to_le_bytes());
@@ -903,6 +913,9 @@ pub struct FrameReader<R> {
     /// Total bytes `buf` must reach before the next parse step: the
     /// header first, then the full frame once the length is known.
     need: usize,
+    /// Largest declared payload length accepted (at most
+    /// [`MAX_PAYLOAD`]).
+    cap: usize,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -912,7 +925,17 @@ impl<R: Read> FrameReader<R> {
             inner,
             buf: Vec::new(),
             need: HEADER_LEN,
+            cap: MAX_PAYLOAD,
         }
+    }
+
+    /// Cap the declared payload length of the frames read from now on
+    /// (clamped to [`MAX_PAYLOAD`]); a header declaring more is a
+    /// [`NetError::Desync`]. A server lowers it for a peer that has not
+    /// completed its handshake, so an unauthenticated socket cannot make
+    /// it buffer a 64 MiB frame, and raises it once the peer is welcomed.
+    pub fn set_payload_cap(&mut self, cap: usize) {
+        self.cap = cap.min(MAX_PAYLOAD);
     }
 
     /// The wrapped transport, for interleaved writes between reads
@@ -970,9 +993,10 @@ impl<R: Read> FrameReader<R> {
                     return Err(NetError::Desync("bad frame magic".into()));
                 }
                 let len = u32::from_le_bytes(self.buf[5..9].try_into().unwrap()) as usize;
-                if len > MAX_PAYLOAD {
+                if len > self.cap {
                     return Err(NetError::Desync(format!(
-                        "declared payload length {len} exceeds the cap"
+                        "declared payload length {len} exceeds the cap of {}",
+                        self.cap
                     )));
                 }
                 self.need = HEADER_LEN + len + CHECKSUM_LEN;
@@ -981,7 +1005,7 @@ impl<R: Read> FrameReader<R> {
             // Full frame buffered: verify, decode, reset for the next.
             // The buffer is cleared in place, not replaced, so a
             // long-lived session reuses one allocation frame after frame
-            // (its capacity is bounded by the MAX_PAYLOAD check above).
+            // (its capacity is bounded by the cap check above).
             self.need = HEADER_LEN;
             let (body, sum) = self.buf.split_at(self.buf.len() - CHECKSUM_LEN);
             let expect = u64::from_le_bytes(sum.try_into().unwrap());
@@ -1190,6 +1214,23 @@ mod tests {
         let mut wire = encode(&Message::Goodbye);
         wire[5..9].copy_from_slice(&(u32::MAX).to_le_bytes());
         let mut reader = FrameReader::new(wire.as_slice());
+        match reader.read_event() {
+            Err(NetError::Desync(msg)) => assert!(msg.contains("cap"), "{msg}"),
+            other => panic!("expected desync, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_hello_fits_its_layout_and_a_lowered_cap_desyncs_anything_larger() {
+        let hello = sample_messages().swap_remove(0);
+        assert!(matches!(hello, Message::Hello { .. }));
+        let wire = encode(&hello);
+        assert_eq!(wire.len(), HEADER_LEN + HELLO_PAYLOAD_LEN + CHECKSUM_LEN);
+        let mut reader = FrameReader::new(wire.as_slice());
+        reader.set_payload_cap(HELLO_PAYLOAD_LEN);
+        assert!(matches!(reader.read_event(), Ok(ReadEvent::Message(m)) if m == hello));
+        let mut reader = FrameReader::new(wire.as_slice());
+        reader.set_payload_cap(HELLO_PAYLOAD_LEN - 1);
         match reader.read_event() {
             Err(NetError::Desync(msg)) => assert!(msg.contains("cap"), "{msg}"),
             other => panic!("expected desync, got {other:?}"),
