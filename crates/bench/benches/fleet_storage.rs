@@ -1,10 +1,9 @@
-//! Fleet-storage throughput: HashMap fleet vs arena fleet vs sharded
-//! arena fleet on the §7.2 backbone workload, written to
-//! `BENCH_fleet.json` so the hottest-path perf trajectory is tracked
-//! across PRs.
+//! Fleet-storage throughput: per-key sketches vs the arena fleet on the
+//! §7.2 backbone workload, written to `BENCH_fleet.json` so the
+//! hottest-path perf trajectory is tracked across PRs.
 //!
 //! Environment knobs: `SBITMAP_BENCH_MS` (per-case budget),
-//! `SBITMAP_BENCH_LINKS`, `SBITMAP_BENCH_PAIRS`, `SBITMAP_BENCH_SHARDS`.
+//! `SBITMAP_BENCH_LINKS`, `SBITMAP_BENCH_PAIRS`.
 
 use sbitmap_bench::fleet::{self, FleetConfig};
 
@@ -24,7 +23,6 @@ fn main() {
     let mut cfg = FleetConfig::default();
     cfg.links = env_usize("SBITMAP_BENCH_LINKS", cfg.links);
     cfg.max_pairs = env_usize("SBITMAP_BENCH_PAIRS", cfg.max_pairs);
-    cfg.max_shards = env_usize("SBITMAP_BENCH_SHARDS", cfg.max_shards);
     if let Ok(ms) = std::env::var("SBITMAP_BENCH_MS") {
         if let Ok(ms) = ms.parse() {
             cfg.budget_ms = ms;
@@ -32,8 +30,8 @@ fn main() {
     }
 
     println!(
-        "=== fleet: storage flavors on the backbone workload ({} links, ≤{} pairs, ≤{} shards) ===",
-        cfg.links, cfg.max_pairs, cfg.max_shards
+        "=== fleet: storage flavors on the backbone workload ({} links, ≤{} pairs) ===",
+        cfg.links, cfg.max_pairs
     );
     let run = fleet::run(&cfg);
     for m in &run.results {

@@ -1,21 +1,16 @@
-//! The fleet-storage benchmark: HashMap fleet vs arena fleet vs sharded
-//! arena fleet on the §7.2 backbone workload, plus the sparse-vs-dense
-//! memory lane on a million-key Zipf per-flow workload.
+//! The fleet-storage benchmark: per-key sketches vs the arena fleet on
+//! the §7.2 backbone workload, plus the sparse-vs-dense memory lane on a
+//! million-key Zipf per-flow workload.
 //!
 //! The **backbone** lanes ingest the *same* interleaved `(link, flow)`
 //! pair sequence ([`crate::ingest::backbone_pairs`], so results are
 //! directly comparable to `BENCH_ingest.json`'s `backbone_fleet_*`
 //! lanes):
 //!
-//! * **scalar** — [`SketchFleet::insert_u64`] per pair: one HashMap probe
-//!   and one pointer chase per item;
-//! * **batched** — [`SketchFleet::insert_batch`]: the legacy grouping
-//!   path over reused scratch buckets;
+//! * **scalar** / **batched** — the per-key [`KeyedSketches`] reference,
+//!   fed pair by pair or grouped by key;
 //! * **arena** — [`FleetArena::insert_batch`]: contiguous arena storage
-//!   behind the counting-sort radix router, zero steady-state allocation;
-//! * **parallel_tK** — [`ParallelFleet::insert_batch`] with K shard
-//!   threads over disjoint arenas (expect gains only when
-//!   `available_parallelism` in the report header exceeds 1).
+//!   behind the counting-sort radix router, zero steady-state allocation.
 //!
 //! The **zipf** lanes model the paper's per-flow scenarios (§7): ≥1M
 //! keys drawn Zipf(1.1), most of them cold, fed to the size-classed
@@ -39,11 +34,12 @@
 
 use std::sync::Arc;
 
-use sbitmap_core::{FleetArena, ParallelFleet, RateSchedule, SketchFleet, SparseFleet};
+use sbitmap_core::{FleetArena, RateSchedule, SparseFleet};
 use sbitmap_stream::{distinct_items, zipf_stream};
 
 use crate::harness::{peak_rss_bytes, Bench, Measurement};
 use crate::ingest::{backbone_pairs, IngestConfig};
+use crate::keyed::KeyedSketches;
 
 /// Which workload generator(s) a fleet bench invocation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,8 +91,6 @@ pub struct FleetConfig {
     pub max_pairs: usize,
     /// Per-case wall-clock budget in milliseconds.
     pub budget_ms: u64,
-    /// Largest shard count for the parallel lanes; lanes run 1, 2, 4, …
-    pub max_shards: usize,
     /// Workload seed.
     pub seed: u64,
     /// Which workload generator(s) to run.
@@ -111,7 +105,6 @@ impl Default for FleetConfig {
             links: 150,
             max_pairs: 2_000_000,
             budget_ms: 300,
-            max_shards: std::thread::available_parallelism().map_or(4, |p| p.get().min(8)),
             seed: 0xbe9c,
             generator: FleetGenerator::Backbone,
             zipf_keys: 1_200_000,
@@ -126,7 +119,6 @@ impl FleetConfig {
             links: 40,
             max_pairs: 200_000,
             budget_ms: 60,
-            max_shards: 2,
             zipf_keys: 40_000,
             ..Self::default()
         }
@@ -137,8 +129,8 @@ impl FleetConfig {
             links: self.links,
             max_pairs: self.max_pairs,
             budget_ms: self.budget_ms,
-            max_threads: self.max_shards,
             seed: self.seed,
+            ..IngestConfig::default()
         }
     }
 }
@@ -201,7 +193,7 @@ pub fn run(cfg: &FleetConfig) -> FleetRun {
     }
 }
 
-/// The §7.2 backbone lanes (HashMap scalar/batched, arena, parallel).
+/// The §7.2 backbone lanes (per-key scalar/batched, arena).
 fn run_backbone_lanes(cfg: &FleetConfig) -> Vec<Measurement> {
     let bench = Bench::with_budget_ms(cfg.budget_ms);
     let pairs = backbone_pairs(&cfg.ingest_cfg());
@@ -211,20 +203,20 @@ fn run_backbone_lanes(cfg: &FleetConfig) -> Vec<Measurement> {
     // Cross-flavor equivalence gate: all storage layouts must yield the
     // same per-link estimates before any of them is worth timing.
     assert!(
-        verify_equivalence(cfg, &pairs),
+        verify_equivalence(cfg, &schedule, &pairs),
         "fleet storage flavors disagree — refusing to benchmark broken code"
     );
 
     let mut results = Vec::new();
     results.push(bench.run("backbone_fleet_scalar", n_pairs, || {
-        let mut fleet: SketchFleet = SketchFleet::with_schedule(schedule.clone(), cfg.seed);
+        let mut fleet = KeyedSketches::new(schedule.clone(), cfg.seed);
         for &(link, flow) in &pairs {
             fleet.insert_u64(link, flow);
         }
         fleet.len()
     }));
     results.push(bench.run("backbone_fleet_batched", n_pairs, || {
-        let mut fleet: SketchFleet = SketchFleet::with_schedule(schedule.clone(), cfg.seed);
+        let mut fleet = KeyedSketches::new(schedule.clone(), cfg.seed);
         fleet.insert_batch(&pairs);
         fleet.len()
     }));
@@ -242,18 +234,6 @@ fn run_backbone_lanes(cfg: &FleetConfig) -> Vec<Measurement> {
             fleet.reset_all();
             fleet.insert_batch(&pairs)
         }));
-    }
-    let mut shards = 1usize;
-    while shards <= cfg.max_shards.max(1) {
-        let name = format!("backbone_fleet_parallel_t{shards}");
-        results.push(bench.run(&name, n_pairs, || {
-            let mut fleet: ParallelFleet =
-                ParallelFleet::with_schedule(schedule.clone(), cfg.seed, shards)
-                    .expect("at least one shard");
-            fleet.insert_batch(&pairs);
-            fleet.len()
-        }));
-        shards *= 2;
     }
     results
 }
@@ -342,20 +322,19 @@ fn verify_zipf_equivalence(
     sparse.estimates().eq(dense.estimates())
 }
 
-/// All storage flavors fed the same pairs must report identical per-link
-/// estimates (bit-identical sketches ⇒ equal `f64` estimates).
-fn verify_equivalence(cfg: &FleetConfig, pairs: &[(u64, u64)]) -> bool {
-    let mut hashmap_fleet: SketchFleet =
-        SketchFleet::new(N_MAX, M_BITS, cfg.seed).expect("fleet config");
-    let mut arena: FleetArena = FleetArena::new(N_MAX, M_BITS, cfg.seed).expect("fleet config");
-    let mut parallel: ParallelFleet =
-        ParallelFleet::new(N_MAX, M_BITS, cfg.seed, cfg.max_shards.max(2)).expect("fleet config");
-    hashmap_fleet.insert_batch(pairs);
+/// The arena fed the same pairs as the per-key reference must report
+/// identical per-link estimates (bit-identical sketches ⇒ equal `f64`
+/// estimates).
+fn verify_equivalence(
+    cfg: &FleetConfig,
+    schedule: &Arc<RateSchedule>,
+    pairs: &[(u64, u64)],
+) -> bool {
+    let mut reference = KeyedSketches::new(schedule.clone(), cfg.seed);
+    let mut arena: FleetArena = FleetArena::with_schedule(schedule.clone(), cfg.seed);
+    reference.insert_batch(pairs);
     arena.insert_batch(pairs);
-    parallel.insert_batch(pairs);
-    let reference: Vec<(u64, f64)> = hashmap_fleet.estimates().collect();
-    reference == arena.estimates().collect::<Vec<_>>()
-        && reference == parallel.estimates().collect::<Vec<_>>()
+    reference.estimates() == arena.estimates().collect::<Vec<_>>()
 }
 
 /// Nanoseconds-per-item speedup of lane `num` over lane `den` (how many
@@ -368,8 +347,8 @@ fn speedup(results: &[Measurement], num: &str, den: &str) -> f64 {
     }
 }
 
-/// The arena-vs-legacy-batched speedup — the headline regression metric
-/// (CI asserts it stays ≥ 1).
+/// The arena-vs-per-key-batched speedup — the headline regression metric
+/// (the CI smoke asserts it stays ≥ 0.9).
 pub fn arena_speedup(results: &[Measurement]) -> f64 {
     speedup(results, "backbone_fleet_arena", "backbone_fleet_batched")
 }
@@ -422,12 +401,6 @@ pub fn report_json(cfg: &FleetConfig, run: &FleetRun) -> String {
         ]);
     }
     if cfg.generator.runs_backbone() {
-        let best_parallel = results
-            .iter()
-            .filter(|m| m.name.starts_with("backbone_fleet_parallel_t"))
-            .max_by(|a, b| a.items_per_sec().total_cmp(&b.items_per_sec()))
-            .map(|m| m.name.clone())
-            .unwrap_or_default();
         meta.extend([
             ("links", cfg.links.to_string()),
             ("n_max", N_MAX.to_string()),
@@ -441,14 +414,6 @@ pub fn report_json(cfg: &FleetConfig, run: &FleetRun) -> String {
                 format!(
                     "{:.3}",
                     speedup(results, "backbone_fleet_arena", "backbone_fleet_scalar")
-                ),
-            ),
-            ("best_parallel_lane", best_parallel.clone()),
-            (
-                "parallel_vs_arena_speedup",
-                format!(
-                    "{:.3}",
-                    speedup(results, &best_parallel, "backbone_fleet_arena")
                 ),
             ),
         ]);
@@ -466,7 +431,6 @@ mod tests {
             links: 6,
             max_pairs: 10_000,
             budget_ms: 5,
-            max_shards: 2,
             ..FleetConfig::smoke()
         };
         let run = run(&cfg);
@@ -477,8 +441,6 @@ mod tests {
             "backbone_fleet_batched",
             "backbone_fleet_arena",
             "backbone_fleet_arena_steady",
-            "backbone_fleet_parallel_t1",
-            "backbone_fleet_parallel_t2",
         ] {
             assert!(names.contains(&expect), "missing lane {expect}");
         }

@@ -7,10 +7,10 @@
 //! §7.1 worm trace. Three ingestion strategies are timed over identical
 //! item sequences:
 //!
-//! * **scalar** — one [`SketchFleet::insert_u64`] / `SBitmap::insert_u64`
+//! * **scalar** — one [`KeyedSketches::insert_u64`] / `SBitmap::insert_u64`
 //!   call per item (one HashMap lookup per pair, one hash-probe chain at
 //!   a time);
-//! * **batched** — [`SketchFleet::insert_batch`] /
+//! * **batched** — [`KeyedSketches::insert_batch`] /
 //!   [`sbitmap_core::SBitmap::insert_u64s`] (group by key, batch-hash,
 //!   prefetch-pipelined probes);
 //! * **concurrent** — [`ConcurrentSBitmap`] over the atomic bitmap
@@ -22,10 +22,11 @@
 
 use std::sync::Arc;
 
-use sbitmap_core::{ConcurrentSBitmap, DistinctCounter, SBitmap, SketchFleet};
+use sbitmap_core::{ConcurrentSBitmap, DistinctCounter, RateSchedule, SBitmap};
 use sbitmap_stream::{BackboneSnapshot, WormLink, WormTrace};
 
 use crate::harness::{Bench, Measurement};
+use crate::keyed::KeyedSketches;
 
 /// Benchmark configuration.
 #[derive(Debug, Clone)]
@@ -74,6 +75,14 @@ impl IngestConfig {
 const N_MAX: u64 = 1_500_000;
 /// Per-link bitmap bits (≈3% RRMSE at `N_MAX` by eq. (7)).
 const M_BITS: usize = 8_000;
+
+/// A fresh per-key fleet at the §7.2 configuration, schedule included.
+fn backbone_fleet(seed: u64) -> KeyedSketches {
+    KeyedSketches::new(
+        Arc::new(RateSchedule::from_memory(N_MAX, M_BITS).expect("fleet config")),
+        seed,
+    )
+}
 
 /// Build the interleaved `(link, flow)` arrival sequence: links take
 /// turns emitting their next flow id, round-robin, until each link's
@@ -129,16 +138,14 @@ pub fn run(cfg: &IngestConfig) -> Vec<Measurement> {
     // Fleet lanes: the §7.2 shape. Fresh fleet per iteration so every
     // iteration sees identical (cold-sketch) state.
     results.push(bench.run("backbone_fleet_scalar", n_pairs, || {
-        let mut fleet: SketchFleet =
-            SketchFleet::new(N_MAX, M_BITS, cfg.seed).expect("fleet config");
+        let mut fleet = backbone_fleet(cfg.seed);
         for &(link, flow) in &pairs {
             fleet.insert_u64(link, flow);
         }
         fleet.len()
     }));
     results.push(bench.run("backbone_fleet_batched", n_pairs, || {
-        let mut fleet: SketchFleet =
-            SketchFleet::new(N_MAX, M_BITS, cfg.seed).expect("fleet config");
+        let mut fleet = backbone_fleet(cfg.seed);
         fleet.insert_batch(&pairs);
         fleet.len()
     }));
@@ -238,17 +245,13 @@ mod tests {
             ..IngestConfig::smoke()
         };
         let pairs = backbone_pairs(&cfg);
-        let mut scalar: SketchFleet = SketchFleet::new(N_MAX, M_BITS, 1).unwrap();
-        let mut batched: SketchFleet = SketchFleet::new(N_MAX, M_BITS, 1).unwrap();
+        let mut scalar = backbone_fleet(1);
+        let mut batched = backbone_fleet(1);
         for &(k, v) in &pairs {
             scalar.insert_u64(k, v);
         }
         batched.insert_batch(&pairs);
-        let mut se: Vec<_> = scalar.estimates().collect();
-        let mut be: Vec<_> = batched.estimates().collect();
-        se.sort_by_key(|e| e.0);
-        be.sort_by_key(|e| e.0);
-        assert_eq!(se, be);
+        assert_eq!(scalar.estimates(), batched.estimates());
     }
 
     #[test]

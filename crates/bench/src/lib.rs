@@ -10,9 +10,9 @@
 //!   (the paper's "similar or less computational cost" claim, §3);
 //! * `collector` — the sharded node→collector checkpoint pipeline at
 //!   1..=T shards (see [`collect`]), emitting `BENCH_collect.json`;
-//! * `fleet_storage` — HashMap fleet vs arena fleet vs sharded arena
-//!   fleet on the backbone workload (see [`fleet`]), emitting
-//!   `BENCH_fleet.json`;
+//! * `fleet_storage` — per-key sketches ([`keyed`]) vs the arena fleet
+//!   on the backbone workload, plus sparse vs dense on a Zipf workload
+//!   (see [`fleet`]), emitting `BENCH_fleet.json`;
 //! * `window_throughput` — windowed fleet ingest at W ∈ {2, 8, 32}
 //!   epochs vs the plain arena, plus window query cost (see
 //!   [`window`]), emitting `BENCH_window.json`;
@@ -33,6 +33,7 @@ pub mod daemon;
 pub mod fleet;
 pub mod harness;
 pub mod ingest;
+pub mod keyed;
 pub mod window;
 
 use sbitmap_core::DistinctCounter;

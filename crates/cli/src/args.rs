@@ -31,8 +31,8 @@ pub struct Options {
     /// Output path (`bench-ingest`/`bench-collect` JSON report,
     /// `checkpoint`/`merge` checkpoint file).
     pub out: String,
-    /// Node shards for `collect` / max shards for `bench-collect` and
-    /// `bench-fleet`.
+    /// Node shards for the pipeline and daemon commands / max shards for
+    /// `bench-collect`.
     pub shards: usize,
     /// `bench-fleet` regression gate: fail unless arena batched ingest is
     /// at least this many times faster than the legacy batched path.

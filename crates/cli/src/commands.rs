@@ -110,10 +110,10 @@ commands:
              flags: --links L --shards K --budget-ms MS --seed S
                     --out PATH (default BENCH_collect.json)
   bench-fleet
-             time fleet storage flavors (HashMap vs arena vs sharded
-             arena, plus sparse-vs-dense on a Zipf per-flow workload)
-             and write a JSON report
-             flags: --links L --pairs P --shards K --budget-ms MS
+             time fleet storage (per-key sketches vs the arena, plus
+             sparse-vs-dense on a Zipf per-flow workload) and write a
+             JSON report
+             flags: --links L --pairs P --budget-ms MS
                     --seed S --out PATH (default BENCH_fleet.json)
                     --generator backbone|zipf|all (default backbone)
                     --keys N (Zipf distinct keys, default 1.2m)
@@ -533,7 +533,7 @@ fn restore_cmd(opts: &Options, out: &mut impl Write) -> Result<(), String> {
         CounterKind::HyperLogLog => describe::<HyperLogLog>(&bytes)?,
         CounterKind::KMinValues => describe::<KMinValues>(&bytes)?,
         CounterKind::SketchFleet => {
-            let fleet: sbitmap_core::SketchFleet =
+            let fleet: sbitmap_core::FleetArena =
                 Checkpoint::restore(&bytes).map_err(|e| e.to_string())?;
             writeln!(
                 out,
@@ -1361,20 +1361,18 @@ fn bench_fleet(opts: &Options, out: &mut impl Write) -> Result<(), String> {
         links: opts.links.max(1),
         max_pairs: opts.pairs.max(1),
         budget_ms: opts.budget_ms.max(1),
-        max_shards: opts.shards.max(1),
         seed: opts.seed,
         generator,
         zipf_keys: opts.keys.max(1),
     };
     writeln!(
         out,
-        "fleet bench [{}]: {} links, ≤{} pairs, {} zipf keys, {} ms/case, 1..={} shards",
+        "fleet bench [{}]: {} links, ≤{} pairs, {} zipf keys, {} ms/case",
         generator.name(),
         cfg.links,
         cfg.max_pairs,
         cfg.zipf_keys,
-        cfg.budget_ms,
-        cfg.max_shards
+        cfg.budget_ms
     )
     .map_err(io_err)?;
     let run = sbitmap_bench::fleet::run(&cfg);
@@ -1597,13 +1595,12 @@ mod tests {
             std::process::id()
         ));
         let argv = format!(
-            "bench-fleet --links 4 --pairs 2k --budget-ms 2 --shards 2 \
+            "bench-fleet --links 4 --pairs 2k --budget-ms 2 \
              --assert-min-speedup 0.01 --out {}",
             path.display()
         );
         let out = run(&argv, "").unwrap();
         assert!(out.contains("backbone_fleet_arena"), "{out}");
-        assert!(out.contains("backbone_fleet_parallel_t2"), "{out}");
         assert!(out.contains("arena vs legacy batched"), "{out}");
         assert!(out.contains("speedup gate passed"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();
@@ -1611,7 +1608,7 @@ mod tests {
         assert!(json.contains("available_parallelism"));
         // An impossible gate must fail loudly.
         let argv = format!(
-            "bench-fleet --links 4 --pairs 2k --budget-ms 2 --shards 1 \
+            "bench-fleet --links 4 --pairs 2k --budget-ms 2 \
              --assert-min-speedup 1e9 --out {}",
             path.display()
         );
@@ -1887,6 +1884,35 @@ mod tests {
         let err = run(&argv, "").unwrap_err();
         assert!(err.contains("regression"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn restore_describes_keyed_fleet_checkpoints_from_either_flavor() {
+        use sbitmap_core::{Checkpoint, FleetArena, SparseFleet};
+        let mut dense: FleetArena = FleetArena::new(10_000, 1_200, 3).unwrap();
+        let mut sparse: SparseFleet = SparseFleet::new(10_000, 4_000, 3).unwrap();
+        for key in [5u64, 6, 7] {
+            dense.insert_u64(key, key);
+            sparse.insert_u64(key, key);
+        }
+        sparse.insert_u64(8, 1);
+        for (name, bytes, keys, bits) in [
+            ("arena_fleet_ckpt", dense.checkpoint(), 3, 3_600),
+            ("sparse_fleet_ckpt", sparse.checkpoint(), 4, 16_000),
+        ] {
+            let path = tmp(name);
+            std::fs::write(&path, &bytes).unwrap();
+            let out = run(&format!("restore {}", path.display()), "").unwrap();
+            assert_eq!(
+                out,
+                format!(
+                    "{}: v2 sketch-fleet, {keys} keys, {bits} sketch bits, {} bytes\n",
+                    path.display(),
+                    bytes.len()
+                )
+            );
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Arena-backed fleet storage: every per-key bitmap packed into one
 //! contiguous word buffer, plus an allocation-free radix batch router.
 //!
-//! [`crate::SketchFleet`] stores each key's [`SBitmap`] behind its own
-//! heap allocation inside a `HashMap`, so fleet-scale ingestion (the
-//! paper's §7.2: hundreds of identically-dimensioned per-link sketches
-//! fed from one interleaved packet stream) is dominated by pointer
-//! chasing and allocator traffic rather than the constant-time update
-//! the paper promises. [`FleetArena`] keeps the same *logical* state —
+//! A `HashMap<u64, SBitmap>` stores each key's [`SBitmap`] behind its
+//! own heap allocation, so fleet-scale ingestion (the paper's §7.2:
+//! hundreds of identically-dimensioned per-link sketches fed from one
+//! interleaved packet stream) is dominated by pointer chasing and
+//! allocator traffic rather than the constant-time update the paper
+//! promises. [`FleetArena`] keeps the same *logical* state —
 //! per-key `(bitmap, fill)` over one shared [`RateSchedule`], per-key
 //! hash seeds derived by [`crate::fleet::sketch_seed`] — in a flat
 //! layout:
@@ -22,11 +22,12 @@
 //! prefix-sum, scatter) into scratch buffers **owned by the arena**, so
 //! the steady state allocates nothing: after warm-up, an
 //! [`FleetArena::insert_batch`] call touches only the arena, the scratch
-//! and the stack. Behavior is bit-identical to the HashMap fleet — same
-//! per-key bitmap words and fills for the same `(key, item)` stream —
-//! and checkpoints are byte-identical (both serialize as
-//! [`CounterKind::SketchFleet`]), which the property tests in
-//! `tests/fleet_arena.rs` lock in.
+//! and the stack. Behavior is bit-identical to standalone per-key
+//! sketches — same per-key bitmap words and fills for the same
+//! `(key, item)` stream — and the [`CounterKind::SketchFleet`]
+//! checkpoint is exactly the documented per-key layout, which the
+//! property tests in `tests/fleet_arena.rs` lock in against a per-key
+//! [`SBitmap`] oracle.
 
 use std::sync::Arc;
 
@@ -193,13 +194,11 @@ pub(crate) fn shift_to_cursors(offsets: &mut [u32]) {
 
 /// A keyed fleet of S-bitmaps packed into one contiguous arena.
 ///
-/// Drop-in hot-path replacement for [`crate::SketchFleet`]: same
-/// constructor signature, same per-key seed derivation
-/// ([`crate::fleet::sketch_seed`]), bit-identical per-key sketch state,
-/// byte-identical checkpoints. What changes is the memory layout — one
-/// allocation for every bitmap, dense fill counters, an open-addressed
-/// key index — and the batch path, which replaces per-call bucket tables
-/// with a reusable counting-sort router.
+/// Each key's state is what a standalone [`SBitmap`] seeded with
+/// [`crate::fleet::sketch_seed`] would hold after the same items. The
+/// layout is one allocation for every bitmap, dense fill counters and
+/// an open-addressed key index; batches go through a reusable
+/// counting-sort router.
 ///
 /// ```
 /// use sbitmap_core::FleetArena;
@@ -444,8 +443,7 @@ impl<H: Hasher64 + FromSeed> FleetArena<H> {
         // Pass 1: count per key, growing the table on demand (fused max
         // scan — the batch is read only twice in total). Dense only
         // while the counting table stays small relative to the batch —
-        // a lone pair with key 60000 must not sweep a 60001-entry table
-        // (same guard as the legacy fleet's dense path).
+        // a lone pair with key 60000 must not sweep a 60001-entry table.
         let bound = Self::DENSE_KEY_CACHE.min(pairs.len().saturating_mul(4).max(64) as u64);
         r.offsets.clear();
         let mut dense = true;
@@ -629,7 +627,7 @@ impl<H: Hasher64 + FromSeed> FleetArena<H> {
     }
 
     /// `(key, slot)` pairs in ascending key order — the canonical
-    /// iteration order shared with [`crate::SketchFleet`].
+    /// iteration order of every keyed fleet.
     fn slots_by_key(&self) -> Vec<(u64, usize)> {
         let mut pairs: Vec<(u64, usize)> =
             self.keys.iter().enumerate().map(|(s, &k)| (k, s)).collect();
@@ -646,9 +644,9 @@ impl<H: Hasher64 + FromSeed> FleetArena<H> {
 
     /// Materialize one key's sketch as a standalone [`SBitmap`] (words
     /// copied out of the arena); `None` if the key has never been
-    /// inserted. The result is bit-identical to the sketch a
-    /// [`crate::SketchFleet`] fed the same stream would hold, so its
-    /// checkpoint bytes are interchangeable.
+    /// inserted. The result is bit-identical to a standalone sketch
+    /// seeded with [`crate::fleet::sketch_seed`] and fed the same items,
+    /// so its checkpoint bytes are interchangeable.
     pub fn export_sketch(&self, key: u64) -> Option<SBitmap<H>> {
         let slot = self.lookup_slot(key)? as usize;
         let m = self.schedule.dims().m();
@@ -922,11 +920,13 @@ impl<H: Hasher64 + FromSeed> KeyedEstimates for FleetArena<H> {
     }
 }
 
-/// Arena fleets serialize exactly like [`crate::SketchFleet`] — same
-/// [`CounterKind::SketchFleet`] tag, same payload (config header, then
-/// `(key, fill, words)` records sorted by key) — so the two flavors'
-/// checkpoints are interchangeable: a fleet written by either restores
-/// into either.
+/// Fleet checkpoint payload, tag [`CounterKind::SketchFleet`]: the
+/// shared configuration once — `n_max` (u64), `m` (u64), sampling `d`
+/// (u32), fleet seed (u64) — then `count` (u64) per-key records of `key`
+/// (u64), fill (u64) and the bitmap words, sorted by key. Per-key hash
+/// seeds are derived from `(fleet seed, key)`, so they are not stored.
+/// [`crate::SparseFleet`] writes the same bytes: a fleet written by
+/// either restores into either.
 impl<H: Hasher64 + FromSeed> Checkpoint for FleetArena<H> {
     const KIND: CounterKind = CounterKind::SketchFleet;
 
@@ -968,34 +968,53 @@ impl<H: Hasher64 + FromSeed> Checkpoint for FleetArena<H> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use crate::fleet::SketchFleet;
+    use crate::counter::DistinctCounter;
 
     fn arena() -> FleetArena {
         FleetArena::new(100_000, 4_000, 9).unwrap()
     }
 
-    fn fleet() -> SketchFleet {
-        SketchFleet::new(100_000, 4_000, 9).unwrap()
+    /// The reference: one standalone [`SBitmap`] per key, seeded like
+    /// the arena's key, fed `pairs` one by one.
+    fn per_key_sketches(arena: &FleetArena, pairs: &[(u64, u64)]) -> BTreeMap<u64, SBitmap> {
+        let mut sketches = BTreeMap::new();
+        for &(key, item) in pairs {
+            sketches
+                .entry(key)
+                .or_insert_with(|| {
+                    SBitmap::with_shared_schedule(
+                        arena.schedule().clone(),
+                        SplitMix64Hasher::from_seed(sketch_seed(arena.seed(), key)),
+                    )
+                })
+                .insert_u64(item);
+        }
+        sketches
     }
 
-    #[test]
-    fn scalar_inserts_match_hashmap_fleet_bit_for_bit() {
-        let mut a = arena();
-        let mut f = fleet();
-        for i in 0..20_000u64 {
-            let key = i % 7;
-            let item = i / 7 % 2_500;
-            a.insert_u64(key, item);
-            f.insert_u64(key, item);
-        }
-        assert_eq!(a.len(), f.len());
-        for (key, sketch) in f.sketches() {
-            assert_eq!(a.fill(key), Some(sketch.fill()), "fill for key {key}");
-            let exported = a.export_sketch(key).unwrap();
+    /// Every key of `arena` holds exactly its reference sketch's state.
+    fn assert_matches_reference(arena: &FleetArena, reference: &BTreeMap<u64, SBitmap>) {
+        assert_eq!(arena.len(), reference.len(), "key count");
+        for (&key, sketch) in reference {
+            assert_eq!(arena.fill(key), Some(sketch.fill()), "fill for key {key}");
+            assert_eq!(arena.estimate(key), Some(sketch.estimate()), "key {key}");
+            let exported = arena.export_sketch(key).unwrap();
             assert_eq!(exported.bitmap(), sketch.bitmap(), "bitmap for key {key}");
             assert_eq!(exported.seed(), sketch.seed(), "seed for key {key}");
         }
+    }
+
+    #[test]
+    fn scalar_inserts_match_per_key_sketches_bit_for_bit() {
+        let mut a = arena();
+        let pairs: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i % 7, i / 7 % 2_500)).collect();
+        for &(key, item) in &pairs {
+            a.insert_u64(key, item);
+        }
+        assert_matches_reference(&a, &per_key_sketches(&a, &pairs));
     }
 
     #[test]
@@ -1045,40 +1064,28 @@ mod tests {
         // Keys engineered to stress the open-addressed index: large,
         // clustered, and hitting the same probe neighborhoods.
         let mut a = arena();
-        let mut f = fleet();
         let keys = [u64::MAX, u64::MAX - 16, 0, 16, 1 << 60, (1 << 60) + 16];
         let pairs: Vec<(u64, u64)> = (0..12_000u64)
             .map(|i| (keys[(i % 6) as usize], i / 6 % 1_500))
             .collect();
         a.insert_batch(&pairs);
-        f.insert_batch(&pairs);
-        for &k in &keys {
-            assert_eq!(a.estimate(k), f.estimate(k), "key {k}");
-        }
+        assert_matches_reference(&a, &per_key_sketches(&a, &pairs));
     }
 
     #[test]
-    fn checkpoints_are_byte_identical_and_interchangeable() {
+    fn checkpoint_restores_and_keeps_counting_in_lockstep() {
         let mut a = arena();
-        let mut f = fleet();
-        let pairs: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i % 11, i / 11 % 1_500)).collect();
+        let mut pairs: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i % 11, i / 11 % 1_500)).collect();
         a.insert_batch(&pairs);
-        f.insert_batch(&pairs);
-        let arena_bytes = a.checkpoint();
-        let fleet_bytes = f.checkpoint();
-        assert_eq!(arena_bytes, fleet_bytes, "checkpoint bytes must match");
-        // Cross-restore both ways.
-        let arena_from_fleet: FleetArena = Checkpoint::restore(&fleet_bytes).unwrap();
-        let fleet_from_arena: SketchFleet = Checkpoint::restore(&arena_bytes).unwrap();
-        assert_eq!(arena_from_fleet.len(), 11);
-        assert_eq!(fleet_from_arena.len(), 11);
-        // Restored fleets keep counting identically.
-        let mut x = arena_from_fleet;
-        let mut y = fleet_from_arena;
-        x.insert_u64(3, 999_999);
-        y.insert_u64(3, 999_999);
-        assert_eq!(x.estimate(3), y.estimate(3));
-        assert_eq!(x.checkpoint(), y.checkpoint());
+        let mut restored: FleetArena = Checkpoint::restore(&a.checkpoint()).unwrap();
+        assert_matches_reference(&restored, &per_key_sketches(&a, &pairs));
+        // The restored fleet keeps counting like the original and like
+        // the uninterrupted reference.
+        a.insert_u64(3, 999_999);
+        restored.insert_u64(3, 999_999);
+        pairs.push((3, 999_999));
+        assert_matches_reference(&restored, &per_key_sketches(&a, &pairs));
+        assert_eq!(restored.checkpoint(), a.checkpoint());
     }
 
     #[test]
@@ -1095,18 +1102,17 @@ mod tests {
     }
 
     #[test]
-    fn saturation_reporting_matches_fleet() {
+    fn saturation_reporting_matches_per_key_sketches() {
         let mut a: FleetArena = FleetArena::new(1_000, 120, 1).unwrap();
-        let mut f: SketchFleet = SketchFleet::new(1_000, 120, 1).unwrap();
-        for i in 0..10_000u64 {
-            a.insert_u64(42, i);
-            f.insert_u64(42, i);
+        let mut pairs: Vec<(u64, u64)> = (0..10_000u64).map(|i| (42, i)).collect();
+        pairs.push((7, 1));
+        for &(key, item) in &pairs {
+            a.insert_u64(key, item);
         }
-        a.insert_u64(7, 1);
-        f.insert_u64(7, 1);
+        let reference = per_key_sketches(&a, &pairs);
         assert_eq!(a.saturated_keys(), vec![42]);
-        assert_eq!(a.saturated_keys(), f.saturated_keys());
-        assert_eq!(a.checkpoint(), f.checkpoint(), "saturated checkpoints");
+        assert!(reference[&42].is_saturated() && !reference[&7].is_saturated());
+        assert_matches_reference(&a, &reference);
     }
 
     #[test]

@@ -106,8 +106,9 @@ pub enum CounterKind {
     HyperLogLog = 7,
     /// `KMinValues` from `sbitmap-baselines`.
     KMinValues = 8,
-    /// [`crate::SketchFleet`] — a keyed collection of S-bitmaps over one
-    /// shared schedule.
+    /// Keyed fleet checkpoint (written by [`crate::FleetArena`] /
+    /// [`crate::SparseFleet`]) — a keyed collection of S-bitmaps over
+    /// one shared schedule.
     SketchFleet = 9,
     /// [`crate::WindowedFleet`] — a ring of per-epoch fleets answering
     /// sliding-window queries.

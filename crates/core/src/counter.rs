@@ -102,9 +102,9 @@ pub trait MergeableCounter: DistinctCounter {
 }
 
 /// Keyed fleets with deterministic, ascending-key iteration — the query
-/// surface shared by every fleet flavor ([`crate::SketchFleet`],
-/// [`crate::FleetArena`], [`crate::ParallelFleet`]) and by the window
-/// ring ([`crate::WindowedFleet`]).
+/// surface shared by both fleet storage types ([`crate::FleetArena`],
+/// [`crate::SparseFleet`]) and by the window ring
+/// ([`crate::WindowedFleet`]).
 ///
 /// **Ordering guarantee:** [`KeyedEstimates::keys_sorted`] returns keys
 /// in strictly ascending order, and [`KeyedEstimates::estimates_sorted`]

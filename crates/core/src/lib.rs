@@ -23,14 +23,12 @@
 //! | [`theory`] | §4–§5 | closed forms: `t_b`, `var(T_b)`, RRMSE |
 //! | [`simulate`] | Lemma 1 | exact O(m) Monte-Carlo of the fill process |
 //! | [`counter`] | — | the layered trait family: [`DistinctCounter`], [`BatchedCounter`], [`MergeableCounter`] |
-//! | [`fleet`] | §7.2 | many keyed sketches over one shared schedule |
-//! | [`arena`] | §7.2 | the same fleet packed into one contiguous arena, with an allocation-free radix batch router |
+//! | [`fleet`] | §7.2 | per-key seed derivation shared by every keyed fleet |
+//! | [`arena`] | §7.2 | many keyed sketches over one shared schedule, packed into one contiguous arena, with an allocation-free radix batch router |
 //! | [`sparse`] | §7 | the same fleet in size-classed sparse slab storage for million-key Zipf workloads |
-//! | [`parallel`] | §7.2 | arena fleet sharded across `std::thread` workers |
 //! | [`concurrent`] | §7.2 | lock-free sketch over the atomic bitmap backend |
 //! | [`rotating`] | §7.1 | per-interval counting with bounded history |
 //! | [`window`] | §7.1–7.2 | sliding-window distinct counting: a ring of epoch arenas on the [`window::EpochClock`] |
-//! | [`sync`] | — | cloneable locked handle for multi-threaded feeds |
 //! | [`codec`] | — | dependency-free versioned binary checkpoints: the [`Checkpoint`] trait and the tagged v2 wire format |
 //! | [`journal`] | §7.2 | write-ahead delta journal + atomic snapshots: the durability substrate of the collector daemon |
 //!
@@ -63,13 +61,11 @@ mod error;
 pub mod estimator;
 pub mod fleet;
 pub mod journal;
-pub mod parallel;
 pub mod rotating;
 pub mod schedule;
 pub mod simulate;
 pub mod sketch;
 pub mod sparse;
-pub mod sync;
 pub mod theory;
 pub mod window;
 
@@ -79,12 +75,9 @@ pub use concurrent::ConcurrentSBitmap;
 pub use counter::{BatchedCounter, DistinctCounter, KeyedEstimates, MergeableCounter};
 pub use dimensioning::Dimensioning;
 pub use error::SBitmapError;
-pub use fleet::SketchFleet;
 pub use journal::{JournalConfig, JournalError, JournalRecord, JournalWriter, SegmentScan};
-pub use parallel::ParallelFleet;
 pub use rotating::RotatingCounter;
 pub use schedule::RateSchedule;
 pub use sketch::SBitmap;
 pub use sparse::SparseFleet;
-pub use sync::SharedCounter;
 pub use window::{AbsorbOutcome, EpochClock, WindowedFleet};

@@ -895,11 +895,10 @@ impl<H: Hasher64 + FromSeed> KeyedEstimates for SparseFleet<H> {
     }
 }
 
-/// Sparse fleets serialize exactly like [`crate::FleetArena`] and
-/// [`crate::SketchFleet`] — same [`CounterKind::SketchFleet`] tag, same
-/// payload (config header, then `(key, fill, full-stride words)` records
-/// sorted by key) — so all three flavors' checkpoints are
-/// interchangeable. The size classes are a storage strategy: nothing
+/// Sparse fleets serialize exactly like [`crate::FleetArena`] — same
+/// [`CounterKind::SketchFleet`] tag, same payload (config header, then
+/// `(key, fill, full-stride words)` records sorted by key) — so the two
+/// flavors' checkpoints are interchangeable. The size classes are a storage strategy: nothing
 /// about them reaches the wire, and restore re-derives each record's
 /// class from its live word count.
 impl<H: Hasher64 + FromSeed> Checkpoint for SparseFleet<H> {

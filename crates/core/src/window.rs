@@ -59,8 +59,8 @@
 //! W = 1 the two coincide and the windowed estimate *is* the paper's
 //! estimator. Everything is a deterministic function of per-epoch fills
 //! and bitmaps, which is what lets the property tests lock the windowed
-//! estimate to a naive per-epoch [`crate::SketchFleet`] reference
-//! bit-for-bit — no statistical guarantee the paper does not offer is
+//! estimate to a naive reference over standalone per-epoch, per-key
+//! [`crate::SBitmap`]s bit-for-bit — no statistical guarantee the paper does not offer is
 //! pretended; deployments that need exact windowed unions at scale
 //! should pair the ring with a mergeable sketch (see the HyperLogLog
 //! lane of `sbitmap_stream::collector`).
@@ -1126,18 +1126,22 @@ mod tests {
     use super::*;
     use crate::counter::DistinctCounter;
     use crate::estimator;
-    use crate::fleet::SketchFleet;
+    use std::collections::HashMap;
 
     fn windowed(window: usize) -> WindowedFleet {
         WindowedFleet::new(100_000, 4_000, 9, window).unwrap()
     }
 
-    /// The naive reference: one standalone [`SketchFleet`] per epoch,
-    /// window fill = popcount of the OR of the key's per-epoch bitmaps.
-    fn reference_fill(epochs: &[SketchFleet], key: u64) -> Option<usize> {
+    /// One epoch of the naive reference: a standalone [`SBitmap`] per
+    /// key, seeded like the ring's key.
+    type EpochSketches = HashMap<u64, SBitmap>;
+
+    /// The naive reference: one [`EpochSketches`] per epoch, window fill
+    /// = popcount of the OR of the key's per-epoch bitmaps.
+    fn reference_fill(epochs: &[EpochSketches], key: u64) -> Option<usize> {
         let mut acc: Option<Bitmap> = None;
-        for fleet in epochs {
-            if let Some(sketch) = fleet.sketch(key) {
+        for sketches in epochs {
+            if let Some(sketch) = sketches.get(&key) {
                 match &mut acc {
                     None => acc = Some(sketch.bitmap().clone()),
                     Some(bits) => {
@@ -1150,13 +1154,13 @@ mod tests {
     }
 
     /// The naive reference estimate: `min(t(U), Σₑ t(Lₑ))` computed from
-    /// standalone per-epoch fleets, oldest first.
-    fn reference_estimate(epochs: &[SketchFleet], key: u64) -> Option<f64> {
+    /// standalone per-epoch sketches, oldest first.
+    fn reference_estimate(epochs: &[EpochSketches], key: u64) -> Option<f64> {
         let union = reference_fill(epochs, key)?;
-        let dims = *epochs[0].schedule().dims();
+        let dims = *epochs.iter().find_map(|e| e.get(&key))?.dims();
         let sum: f64 = epochs
             .iter()
-            .filter_map(|f| f.sketch(key))
+            .filter_map(|sketches| sketches.get(&key))
             .map(|s| estimator::estimate_from_fill(&dims, s.fill()))
             .sum();
         Some(estimator::estimate_from_fill(&dims, union).min(sum))
@@ -1194,20 +1198,25 @@ mod tests {
     #[test]
     fn windowed_estimates_match_naive_per_epoch_reference() {
         let mut w = windowed(3);
-        let mut reference: Vec<SketchFleet> = Vec::new();
-        let mut current = SketchFleet::new(100_000, 4_000, 9).unwrap();
+        let mut reference: Vec<EpochSketches> = Vec::new();
         for epoch in 0..7u64 {
+            let mut current = EpochSketches::new();
             for i in 0..4_000u64 {
                 let key = i % 5;
                 let item = epoch * 10_000 + i / 5 % 900;
                 w.insert_u64(key, item);
-                current.insert_u64(key, item);
+                current
+                    .entry(key)
+                    .or_insert_with(|| {
+                        SBitmap::with_shared_schedule(
+                            w.schedule().clone(),
+                            SplitMix64Hasher::from_seed(sketch_seed(w.seed(), key)),
+                        )
+                    })
+                    .insert_u64(item);
             }
             w.rotate();
-            reference.push(std::mem::replace(
-                &mut current,
-                SketchFleet::new(100_000, 4_000, 9).unwrap(),
-            ));
+            reference.push(current);
         }
         // Live window after 7 rotations: epochs 5, 6 and the (empty)
         // open epoch 7 — epochs 0..=4 must have expired.

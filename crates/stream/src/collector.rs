@@ -6,8 +6,7 @@
 //! architecture in-process: `shards` node workers on std threads each own
 //! a subset of the links of a [`BackboneSnapshot`], hold their links'
 //! sketches in one arena-packed [`FleetArena`] (keyed by link index, all
-//! bitmaps in one contiguous buffer over one shared schedule — the
-//! [`sbitmap_core::ParallelFleet`] worker pattern, wired to a channel)
+//! bitmaps in one contiguous buffer over one shared schedule)
 //! plus one shard-wide [`HyperLogLog`], and send framed v2 checkpoints
 //! (`sbitmap_core::codec`) over an `mpsc` channel. Per-link seeds are
 //! derived with [`sbitmap_core::fleet::sketch_seed`], so the shipped

@@ -1,18 +1,21 @@
-//! Property tests locking the fleet storage flavors together: the
+//! Property tests locking the arena fleet to its reference: the
 //! arena-packed fleet must be *bit-identical* (per-key bitmap words and
-//! fill) and *checkpoint-byte-identical* to the HashMap fleet over
-//! seeded random `(key, item)` streams — including the saturation and
-//! restore paths — and the sharded fleet's per-key estimates must be
-//! invariant in the shard count.
+//! fill) and *checkpoint-byte-identical* to standalone per-key sketches
+//! (`support/keyed_oracle.rs`) over seeded random `(key, item)` streams
+//! — including the saturation and restore paths.
 //!
 //! This workspace builds offline, so instead of proptest these
 //! properties run over deterministic randomized cases drawn from the
 //! in-tree [`sbitmap::hash::rng`] generators: every case is reproducible
 //! from its loop index, and a failure message names the case that broke.
 
+#[path = "support/keyed_oracle.rs"]
+mod keyed_oracle;
+
+use keyed_oracle::KeyedOracle;
 use sbitmap::core::Checkpoint;
 use sbitmap::hash::rng::{Rng, SplitMix64};
-use sbitmap::{FleetArena, ParallelFleet, SketchFleet};
+use sbitmap::FleetArena;
 
 /// Deterministic per-case RNG.
 fn rng(case: u64) -> SplitMix64 {
@@ -42,15 +45,13 @@ fn arena_is_bit_identical_to_hashmap_fleet_over_random_streams() {
         let mut g = rng(case);
         let pairs = stream(&mut g, 8_000, 24, 2_000);
         let seed = g.next_u64();
-        let mut fleet: SketchFleet = SketchFleet::new(50_000, 2_000, seed).unwrap();
+        let mut fleet = KeyedOracle::new(50_000, 2_000, seed);
         let mut arena: FleetArena = FleetArena::new(50_000, 2_000, seed).unwrap();
-        // Mixed feeding: batches into the arena, pairwise into the
-        // HashMap fleet — grouping must be invisible.
+        // Batches into the arena, pairwise into the oracle — grouping
+        // must be invisible.
         for chunk in pairs.chunks(1_500) {
             arena.insert_batch(chunk);
-            for &(k, item) in chunk {
-                fleet.insert_u64(k, item);
-            }
+            fleet.insert_pairs(chunk);
         }
         assert_eq!(arena.len(), fleet.len(), "case {case}: key count");
         for (key, sketch) in fleet.sketches() {
@@ -77,16 +78,16 @@ fn arena_is_bit_identical_to_hashmap_fleet_over_random_streams() {
 #[test]
 fn saturation_path_stays_identical_and_restorable() {
     // A tiny configuration saturates quickly: the clamped tail of the
-    // rate schedule and the truncated estimator must behave identically
-    // in both flavors, and checkpoints of saturated fleets must
-    // round-trip through either restore path.
+    // rate schedule and the truncated estimator must behave exactly as
+    // standalone sketches do, and a restored saturated arena must keep
+    // counting in lockstep with the uninterrupted reference.
     for case in 0..6u64 {
         let mut g = rng(case ^ 0x5a7);
         let pairs = stream(&mut g, 20_000, 4, u64::MAX);
         let seed = g.next_u64();
-        let mut fleet: SketchFleet = SketchFleet::new(1_000, 120, seed).unwrap();
+        let mut fleet = KeyedOracle::new(1_000, 120, seed);
         let mut arena: FleetArena = FleetArena::new(1_000, 120, seed).unwrap();
-        fleet.insert_batch(&pairs);
+        fleet.insert_pairs(&pairs);
         arena.insert_batch(&pairs);
         assert!(
             !arena.saturated_keys().is_empty(),
@@ -99,83 +100,27 @@ fn saturation_path_stays_identical_and_restorable() {
         );
         let bytes = arena.checkpoint();
         assert_eq!(bytes, fleet.checkpoint(), "case {case}");
-        // Cross-restore and keep feeding: the flavors must continue in
-        // lockstep from restored state.
-        let mut fleet2: SketchFleet = Checkpoint::restore(&bytes).unwrap();
+        // Restore and keep feeding: the restored arena must continue in
+        // lockstep with the reference that never stopped.
         let mut arena2: FleetArena = Checkpoint::restore(&bytes).unwrap();
         let more = stream(&mut g, 2_000, 4, u64::MAX);
-        fleet2.insert_batch(&more);
+        fleet.insert_pairs(&more);
         arena2.insert_batch(&more);
         assert_eq!(
             arena2.checkpoint(),
-            fleet2.checkpoint(),
+            fleet.checkpoint(),
             "case {case}: post-restore divergence"
         );
     }
 }
 
 #[test]
-fn parallel_fleet_estimates_are_shard_count_invariant() {
-    for case in 0..8u64 {
-        let mut g = rng(case ^ 0x9a8d);
-        let pairs = stream(&mut g, 10_000, 40, 5_000);
-        let seed = g.next_u64();
-        let shard_counts = [1usize, 2, 3, 7, 16];
-        let mut reference: Option<Vec<(u64, f64)>> = None;
-        let mut reference_bytes: Option<Vec<u8>> = None;
-        for &shards in &shard_counts {
-            let mut fleet: ParallelFleet =
-                ParallelFleet::new(100_000, 2_000, seed, shards).unwrap();
-            fleet.insert_batch(&pairs);
-            let estimates: Vec<(u64, f64)> = fleet.estimates().collect();
-            let bytes = fleet.checkpoint();
-            match (&reference, &reference_bytes) {
-                (None, _) => {
-                    reference = Some(estimates);
-                    reference_bytes = Some(bytes);
-                }
-                (Some(expect), Some(expect_bytes)) => {
-                    assert_eq!(&estimates, expect, "case {case}: {shards} shards");
-                    assert_eq!(&bytes, expect_bytes, "case {case}: {shards} shards");
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_fleet_matches_single_threaded_arena_ingest() {
-    // The acceptance property: sharded (multi-threaded) ingest must be
-    // indistinguishable from single-threaded arena ingest, per key.
-    for case in 0..6u64 {
-        let mut g = rng(case ^ 0x717e);
-        let pairs = stream(&mut g, 12_000, 64, 3_000);
-        let seed = g.next_u64();
-        let mut single: FleetArena = FleetArena::new(100_000, 2_000, seed).unwrap();
-        let mut sharded: ParallelFleet = ParallelFleet::new(100_000, 2_000, seed, 8).unwrap();
-        single.insert_batch(&pairs);
-        sharded.insert_batch(&pairs);
-        assert_eq!(single.len(), sharded.len(), "case {case}");
-        for key in single.keys_sorted() {
-            assert_eq!(
-                sharded.export_sketch(key).unwrap().bitmap().words(),
-                single.export_sketch(key).unwrap().bitmap().words(),
-                "case {case}: key {key}"
-            );
-        }
-        assert_eq!(sharded.checkpoint(), single.checkpoint(), "case {case}");
-    }
-}
-
-#[test]
 fn empty_and_single_key_edge_cases_round_trip() {
     let mut arena: FleetArena = FleetArena::new(50_000, 2_000, 3).unwrap();
-    let fleet: SketchFleet = SketchFleet::new(50_000, 2_000, 3).unwrap();
+    let mut fleet = KeyedOracle::new(50_000, 2_000, 3);
     assert_eq!(arena.checkpoint(), fleet.checkpoint(), "empty fleets");
     arena.insert_batch(&[(9, 1)]);
-    let mut fleet = fleet;
-    fleet.insert_batch(&[(9, 1)]);
+    fleet.insert(9, 1);
     assert_eq!(arena.checkpoint(), fleet.checkpoint(), "single pair");
     let restored: FleetArena = Checkpoint::restore(&arena.checkpoint()).unwrap();
     assert_eq!(restored.len(), 1);

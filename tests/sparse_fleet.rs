@@ -5,17 +5,23 @@
 //! **bit-identical** — through mid-stream promotions, saturation,
 //! restore-into-either-flavor, batched ≡ scalar ingest, and the windowed
 //! collector's absorb path. Sparse storage is a strategy, not a wire
-//! format: nothing observable may depend on it.
+//! format: nothing observable may depend on it. The saturation and
+//! restore paths are also held to standalone per-key sketches
+//! (`support/keyed_oracle.rs`).
 //!
 //! The suite also stresses the open-addressed key index past a million
 //! keys (bounded probe chains, panic-free growth). All cases are
 //! deterministic; CI runs the whole file under both SIMD dispatch modes
 //! (default and `SBITMAP_FORCE_SCALAR=1`).
 
+#[path = "support/keyed_oracle.rs"]
+mod keyed_oracle;
+
+use keyed_oracle::KeyedOracle;
 use sbitmap::core::Checkpoint;
 use sbitmap::hash::rng::{Rng, SplitMix64};
 use sbitmap::stream::{distinct_items, zipf_stream};
-use sbitmap::{FleetArena, SketchFleet, SparseFleet, WindowedFleet};
+use sbitmap::{FleetArena, SparseFleet, WindowedFleet};
 
 /// Deterministic per-case RNG.
 fn rng(case: u64) -> SplitMix64 {
@@ -79,6 +85,37 @@ fn assert_lockstep(case: u64, sparse: &SparseFleet, dense: &FleetArena) {
     assert_eq!(
         sparse.checkpoint(),
         dense.checkpoint(),
+        "case {case}: checkpoint bytes"
+    );
+}
+
+/// Assert the sparse fleet holds exactly the oracle's per-key state.
+fn assert_matches_oracle(case: u64, sparse: &SparseFleet, oracle: &KeyedOracle) {
+    assert_eq!(
+        sparse.keys_sorted(),
+        oracle.keys_sorted(),
+        "case {case}: key set"
+    );
+    for (key, sketch) in oracle.sketches() {
+        assert_eq!(
+            sparse.fill(key),
+            Some(sketch.fill()),
+            "case {case}: key {key}"
+        );
+        assert_eq!(
+            sparse.export_sketch(key).unwrap().bitmap().words(),
+            sketch.bitmap().words(),
+            "case {case}: bitmap words for key {key}"
+        );
+    }
+    assert_eq!(
+        sparse.saturated_keys(),
+        oracle.saturated_keys(),
+        "case {case}: saturation"
+    );
+    assert_eq!(
+        sparse.checkpoint(),
+        oracle.checkpoint(),
         "case {case}: checkpoint bytes"
     );
 }
@@ -159,25 +196,25 @@ fn batched_ingest_is_scalar_identical() {
 fn saturation_stays_identical_across_all_three_flavors() {
     // The tiny (1_000, 120) configuration saturates quickly AND has a
     // stride too small for any sparse class — the start-in-largest path
-    // must behave exactly like the dense arena and the HashMap fleet
-    // through the clamped schedule tail.
+    // must behave exactly like the dense arena and standalone per-key
+    // sketches through the clamped schedule tail.
     for case in 0..4u64 {
         let mut g = rng(case ^ 0x5a7);
         let pairs = backbone_stream(&mut g, 20_000, 4, u64::MAX);
         let seed = g.next_u64();
         let mut sparse: SparseFleet = SparseFleet::new(1_000, 120, seed).unwrap();
         let mut dense: FleetArena = FleetArena::new(1_000, 120, seed).unwrap();
-        let mut fleet: SketchFleet = SketchFleet::new(1_000, 120, seed).unwrap();
+        let mut oracle = KeyedOracle::new(1_000, 120, seed);
         sparse.insert_batch(&pairs);
         dense.insert_batch(&pairs);
-        fleet.insert_batch(&pairs);
+        oracle.insert_pairs(&pairs);
         assert!(
             !sparse.saturated_keys().is_empty(),
             "case {case}: workload must actually saturate"
         );
         assert_eq!(sparse.class_count(), 1, "m=120 is dense-only");
         assert_lockstep(case, &sparse, &dense);
-        assert_eq!(sparse.checkpoint(), fleet.checkpoint(), "case {case}");
+        assert_matches_oracle(case, &sparse, &oracle);
     }
 }
 
@@ -211,6 +248,11 @@ fn checkpoints_restore_into_either_flavor_and_continue_in_lockstep() {
             sparse2.checkpoint(),
             "case {case}: restored sparse diverged"
         );
+        // And the restored fleets match a reference that never stopped.
+        let mut oracle = KeyedOracle::new(100_000, 4_000, seed);
+        oracle.insert_pairs(&pairs);
+        oracle.insert_pairs(&more);
+        assert_matches_oracle(case, &sparse2, &oracle);
     }
 }
 

@@ -1,7 +1,8 @@
 //! Property tests locking the sliding-window subsystem together:
 //!
 //! * the windowed fleet over epoch arenas must match a naive reference
-//!   — one standalone [`SketchFleet`] per epoch, window fill = popcount
+//!   — one per-key oracle (`support/keyed_oracle.rs`: a standalone
+//!   `SBitmap` per key) per epoch, window fill = popcount
 //!   of the OR of the key's per-epoch bitmaps, estimate =
 //!   `min(t(U), Σ t(Lₑ))` — **bit-for-bit** over seeded random streams,
 //!   including epoch expiry and restore-from-checkpoint mid-window;
@@ -17,10 +18,14 @@
 //! reproducible from its loop index, and a failure message names the
 //! case that broke.
 
+#[path = "support/keyed_oracle.rs"]
+mod keyed_oracle;
+
+use keyed_oracle::KeyedOracle;
 use sbitmap::core::estimator;
 use sbitmap::hash::rng::{Rng, SplitMix64};
 use sbitmap::stream::{run_windowed_pipeline, WindowedPipelineConfig};
-use sbitmap::{Bitmap, Checkpoint, SketchFleet, WindowedFleet};
+use sbitmap::{Bitmap, Checkpoint, WindowedFleet};
 
 /// Deterministic per-case RNG.
 fn rng(case: u64) -> SplitMix64 {
@@ -35,9 +40,9 @@ fn stream(g: &mut SplitMix64, len: usize, key_space: u64, item_space: u64) -> Ve
         .collect()
 }
 
-/// The naive reference over standalone per-epoch fleets (oldest first):
-/// union fill and the `min(t(U), Σ t(Lₑ))` estimate.
-fn reference(epochs: &[SketchFleet], key: u64) -> Option<(usize, f64)> {
+/// The naive reference over standalone per-epoch oracles (oldest
+/// first): union fill and the `min(t(U), Σ t(Lₑ))` estimate.
+fn reference(epochs: &[KeyedOracle], key: u64) -> Option<(usize, f64)> {
     let mut acc: Option<Bitmap> = None;
     let mut sum = 0.0;
     for fleet in epochs {
@@ -67,12 +72,17 @@ fn windowed_fleet_matches_naive_reference_over_random_streams() {
         let window = 2 + (case as usize % 3); // W ∈ {2, 3, 4}
         let epochs = window + 2 + case as usize; // always exercises expiry
         let mut w: WindowedFleet = WindowedFleet::new(N_MAX, M_BITS, 9, window).unwrap();
-        let mut per_epoch: Vec<SketchFleet> = Vec::new();
+        let mut per_epoch: Vec<KeyedOracle> = Vec::new();
         for _ in 0..epochs {
             let pairs = stream(&mut g, 6_000, 6, 2_500);
-            let mut naive = SketchFleet::new(N_MAX, M_BITS, 9).unwrap();
+            let mut naive = KeyedOracle::new(N_MAX, M_BITS, 9);
             w.insert_batch(&pairs);
-            naive.insert_batch(&pairs);
+            naive.insert_pairs(&pairs);
+            assert_eq!(
+                w.epoch_checkpoint(),
+                naive.checkpoint(),
+                "case {case}: open-epoch checkpoint bytes"
+            );
             per_epoch.push(naive);
             w.rotate();
         }
