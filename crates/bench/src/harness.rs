@@ -3,8 +3,8 @@
 //! This workspace builds in offline environments where criterion cannot
 //! be fetched, so the benches ship their own tiny harness: warm up,
 //! run timed iterations until a wall-clock budget is spent, report the
-//! *median* iteration (robust to scheduler noise), and serialize results
-//! as JSON with no serde.
+//! *median* iteration (robust to scheduler noise) with its p10–p90
+//! spread, and serialize results as JSON with no serde.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -18,6 +18,10 @@ pub struct Measurement {
     pub iters: usize,
     /// Median wall-clock nanoseconds per iteration.
     pub median_ns: f64,
+    /// 10th-percentile wall-clock nanoseconds per iteration.
+    pub p10_ns: f64,
+    /// 90th-percentile wall-clock nanoseconds per iteration.
+    pub p90_ns: f64,
     /// Items processed per iteration (for throughput reporting).
     pub items: u64,
 }
@@ -106,11 +110,13 @@ impl Bench {
             samples.push(t0.elapsed().as_nanos() as f64);
         }
         samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-        let median = samples[samples.len() / 2];
+        let rank = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
         Measurement {
             name: name.to_string(),
             iters: samples.len(),
-            median_ns: median,
+            median_ns: samples[samples.len() / 2],
+            p10_ns: rank(0.1),
+            p90_ns: rank(0.9),
             items,
         }
     }
@@ -168,11 +174,13 @@ pub fn to_json(bench_name: &str, metadata: &[(&str, String)], results: &[Measure
     out.push_str("  \"results\": [\n");
     for (i, m) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"iters\": {}, \"items\": {}, \"median_ns_per_iter\": {:.1}, \"ns_per_item\": {:.4}, \"items_per_sec\": {:.1}}}{}\n",
+            "    {{\"name\": \"{}\", \"iters\": {}, \"items\": {}, \"median_ns_per_iter\": {:.1}, \"p10_ns_per_iter\": {:.1}, \"p90_ns_per_iter\": {:.1}, \"ns_per_item\": {:.4}, \"items_per_sec\": {:.1}}}{}\n",
             escape(&m.name),
             m.iters,
             m.items,
             m.median_ns,
+            m.p10_ns,
+            m.p90_ns,
             m.ns_per_item(),
             m.items_per_sec(),
             if i + 1 == results.len() { "" } else { "," }
@@ -226,6 +234,7 @@ mod tests {
         });
         assert!(m.iters >= 3);
         assert!(m.median_ns > 0.0);
+        assert!(m.p10_ns <= m.median_ns && m.median_ns <= m.p90_ns);
         assert!(m.items_per_sec() > 0.0);
         assert!(m.row().contains("spin"));
     }
@@ -236,6 +245,8 @@ mod tests {
             name: "case-\"a\"".into(),
             iters: 5,
             median_ns: 123.0,
+            p10_ns: 100.0,
+            p90_ns: 150.0,
             items: 10,
         };
         let j = to_json(
@@ -250,6 +261,7 @@ mod tests {
         assert!(j.contains("\"links\": 600"));
         assert!(j.contains("\"gen\": \"backbone\""));
         assert!(j.contains("case-\\\"a\\\""));
+        assert!(j.contains("\"p10_ns_per_iter\": 100.0, \"p90_ns_per_iter\": 150.0"));
         assert!(j.trim_end().ends_with('}'));
         // Balanced braces/brackets as a cheap structural check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
@@ -291,6 +303,8 @@ mod tests {
             name: "empty".into(),
             iters: 1,
             median_ns: 100.0,
+            p10_ns: 100.0,
+            p90_ns: 100.0,
             items: 0,
         };
         assert_eq!(m.ns_per_item(), 0.0);

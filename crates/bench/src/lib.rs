@@ -16,9 +16,6 @@
 //! * `window_throughput` — windowed fleet ingest at W ∈ {2, 8, 32}
 //!   epochs vs the plain arena, plus window query cost (see
 //!   [`window`]), emitting `BENCH_window.json`;
-//! * `daemon_loopback` — the full networked pipeline on loopback TCP
-//!   (agents → `sbitmapd` ingest → drain), clean vs a seeded reconnect
-//!   storm (see [`daemon`]), emitting `BENCH_daemon.json`;
 //! * `estimate_cost` — cost of producing an estimate at realistic fills;
 //! * `hashing` — the four hash families on word and byte inputs;
 //! * `construction` — dimensioning solver and schedule precomputation;
@@ -29,7 +26,6 @@
 #![forbid(unsafe_code)]
 
 pub mod collect;
-pub mod daemon;
 pub mod fleet;
 pub mod harness;
 pub mod ingest;

@@ -53,7 +53,7 @@ pub struct Options {
     /// Epochs to simulate for `window`.
     pub epochs: usize,
     /// Wire rounds per epoch for the v3 delta lane
-    /// (`bench-collect`/`bench-daemon`/`agent`).
+    /// (`bench-collect`/`agent`).
     pub rounds: usize,
     /// `bench-collect` regression gate: fail unless the v3 delta lane
     /// ships at least this many times fewer bytes than the same-cadence
@@ -71,12 +71,6 @@ pub struct Options {
     /// Snapshot cadence in absorbed frames for `serve` (0 disables
     /// periodic snapshots; the journal still covers every frame).
     pub snapshot_every: u64,
-    /// `bench-daemon` regression gate: fail if the journaled loopback
-    /// lane costs more than this many times the clean loopback lane.
-    pub assert_max_journal_overhead: Option<f64>,
-    /// `bench-daemon` regression gate: fail if the replicated loopback
-    /// lane costs more than this many times the clean loopback lane.
-    pub assert_max_replication_overhead: Option<f64>,
     /// Primary address for `serve`: non-empty starts the daemon as a
     /// standby following that collector's record stream.
     pub standby_of: String,
@@ -141,8 +135,6 @@ impl Options {
             assert_min_query_speedup: None,
             data_dir: String::new(),
             snapshot_every: 1_024,
-            assert_max_journal_overhead: None,
-            assert_max_replication_overhead: None,
             standby_of: String::new(),
             peers: Vec::new(),
             initial_term: 1,
@@ -339,30 +331,6 @@ pub fn parse(argv: &[String]) -> Result<Options, String> {
             "--snapshot-every" => {
                 opts.snapshot_every =
                     parse_num(value(i)?).map_err(|e| format!("--snapshot-every: {e}"))?;
-                i += 2;
-            }
-            "--assert-max-journal-overhead" => {
-                let v: f64 = value(i)?
-                    .parse()
-                    .map_err(|e| format!("--assert-max-journal-overhead: {e}"))?;
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(format!(
-                        "--assert-max-journal-overhead must be positive, got {v}"
-                    ));
-                }
-                opts.assert_max_journal_overhead = Some(v);
-                i += 2;
-            }
-            "--assert-max-replication-overhead" => {
-                let v: f64 = value(i)?
-                    .parse()
-                    .map_err(|e| format!("--assert-max-replication-overhead: {e}"))?;
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(format!(
-                        "--assert-max-replication-overhead must be positive, got {v}"
-                    ));
-                }
-                opts.assert_max_replication_overhead = Some(v);
                 i += 2;
             }
             "--standby-of" => {
@@ -601,26 +569,18 @@ mod tests {
 
     #[test]
     fn parses_durability_flags() {
-        let o = parse(&args(
-            "--data-dir /var/lib/sbitmapd --snapshot-every 64 \
-             --assert-max-journal-overhead 1.25",
-        ))
-        .unwrap();
+        let o = parse(&args("--data-dir /var/lib/sbitmapd --snapshot-every 64")).unwrap();
         assert_eq!(o.data_dir, "/var/lib/sbitmapd");
         assert_eq!(o.snapshot_every, 64);
-        assert_eq!(o.assert_max_journal_overhead, Some(1.25));
         let d = parse(&[]).unwrap();
         assert!(d.data_dir.is_empty());
         assert_eq!(d.snapshot_every, 1_024);
-        assert_eq!(d.assert_max_journal_overhead, None);
         // 0 is legal for --snapshot-every: it disables snapshots while
         // keeping the journal.
         assert_eq!(
             parse(&args("--snapshot-every 0")).unwrap().snapshot_every,
             0
         );
-        assert!(parse(&args("--assert-max-journal-overhead 0")).is_err());
-        assert!(parse(&args("--assert-max-journal-overhead nah")).is_err());
         assert!(parse(&args("--data-dir")).is_err());
     }
 
@@ -628,22 +588,18 @@ mod tests {
     fn parses_replication_flags() {
         let o = parse(&args(
             "--standby-of 10.0.0.1:7171 --peers 10.0.0.1:7171,10.0.0.2:7171 \
-             --initial-term 3 --assert-max-replication-overhead 1.3",
+             --initial-term 3",
         ))
         .unwrap();
         assert_eq!(o.standby_of, "10.0.0.1:7171");
         assert_eq!(o.peers, vec!["10.0.0.1:7171", "10.0.0.2:7171"]);
         assert_eq!(o.initial_term, 3);
-        assert_eq!(o.assert_max_replication_overhead, Some(1.3));
         let d = parse(&[]).unwrap();
         assert!(d.standby_of.is_empty());
         assert!(d.peers.is_empty());
         assert_eq!(d.initial_term, 1);
-        assert_eq!(d.assert_max_replication_overhead, None);
         assert!(parse(&args("--peers ,")).is_err());
         assert!(parse(&args("--initial-term 0")).is_err());
-        assert!(parse(&args("--assert-max-replication-overhead 0")).is_err());
-        assert!(parse(&args("--assert-max-replication-overhead nah")).is_err());
     }
 
     #[test]

@@ -131,18 +131,6 @@ commands:
                     --assert-max-overhead X (fail if w8 > X·arena)
                     --assert-min-query-speedup X (fail unless the fused
                       query ≥ X times the naive reference lane)
-  bench-daemon
-             time the full loopback daemon pipeline (TCP agents → framed
-             ingest → bounded absorb → drain) fault-free, under a seeded
-             reconnect storm, with the write-ahead journal on, and
-             through a snapshot+replay recovery, and write a JSON report
-             flags: --links L --shards K --window W --epochs E
-                    --budget-ms MS --seed S
-                    --out PATH (default BENCH_daemon.json)
-                    --assert-max-journal-overhead X (fail if journaled
-                      ingest > X·clean loopback)
-                    --assert-max-replication-overhead X (fail if the
-                      replicated lane > X·clean loopback)
 
 number flags accept k/m suffixes and scientific notation (64k, 1.5m, 1e6)";
 
@@ -185,7 +173,6 @@ pub fn dispatch(
         "bench-collect" => bench_collect(&opts, out),
         "bench-fleet" => bench_fleet(&opts, out),
         "bench-window" => bench_window(&opts, out),
-        "bench-daemon" => bench_daemon(&opts, out),
         other => Err(format!("unknown command `{other}`")),
     }
     .map_err(|e| e.to_string())
@@ -1189,69 +1176,6 @@ fn query_cmd(opts: &Options, out: &mut impl Write) -> Result<(), String> {
     Ok(())
 }
 
-fn bench_daemon(opts: &Options, out: &mut impl Write) -> Result<(), String> {
-    let cfg = sbitmap_bench::daemon::DaemonBenchConfig {
-        links: opts.links.max(1),
-        shards: opts.shards.max(1),
-        window: opts.window.max(1),
-        epochs: opts.epochs.max(1),
-        rounds: opts.rounds.max(1),
-        budget_ms: opts.budget_ms.max(1),
-        seed: opts.seed,
-    };
-    writeln!(
-        out,
-        "daemon bench: {} links over {} agents, {}-epoch window, {} epochs, {} ms/case",
-        cfg.links, cfg.shards, cfg.window, cfg.epochs, cfg.budget_ms
-    )
-    .map_err(io_err)?;
-    let run = sbitmap_bench::daemon::run(&cfg);
-    for m in &run.results {
-        writeln!(out, "{}", m.row()).map_err(io_err)?;
-    }
-    let overhead = sbitmap_bench::daemon::storm_overhead(&run.results);
-    writeln!(out, "reconnect storm vs clean loopback: {overhead:.2}x").map_err(io_err)?;
-    let journal_tax = sbitmap_bench::daemon::journal_overhead(&run.results);
-    writeln!(out, "journaled ingest vs clean loopback: {journal_tax:.2}x").map_err(io_err)?;
-    let replication_tax = sbitmap_bench::daemon::replication_overhead(&run.results);
-    writeln!(
-        out,
-        "replicated loopback vs clean loopback: {replication_tax:.2}x"
-    )
-    .map_err(io_err)?;
-    let json = sbitmap_bench::daemon::report_json(&cfg, &run);
-    let path = if opts.out.is_empty() {
-        "BENCH_daemon.json"
-    } else {
-        &opts.out
-    };
-    std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-    writeln!(out, "wrote {path}").map_err(io_err)?;
-    if let Some(max) = opts.assert_max_journal_overhead {
-        if journal_tax > max {
-            return Err(format!(
-                "regression: journaled loopback ingest costs {journal_tax:.3}x the \
-                 clean lane, above the allowed {max}x"
-            ));
-        }
-        writeln!(out, "journal gate passed: {journal_tax:.2}x <= {max}x").map_err(io_err)?;
-    }
-    if let Some(max) = opts.assert_max_replication_overhead {
-        if replication_tax > max {
-            return Err(format!(
-                "regression: replicated loopback ingest costs {replication_tax:.3}x the \
-                 clean lane, above the allowed {max}x"
-            ));
-        }
-        writeln!(
-            out,
-            "replication gate passed: {replication_tax:.2}x <= {max}x"
-        )
-        .map_err(io_err)?;
-    }
-    Ok(())
-}
-
 fn bench_window(opts: &Options, out: &mut impl Write) -> Result<(), String> {
     let cfg = sbitmap_bench::window::WindowConfig {
         links: opts.links.max(1),
@@ -2155,38 +2079,6 @@ mod tests {
         assert!(err.contains("--key"), "{err}");
         let err = run("query summary", "").unwrap_err();
         assert!(err.contains("--connect"), "{err}");
-    }
-
-    #[test]
-    fn bench_daemon_writes_report() {
-        let path = tmp("bench_daemon.json");
-        let argv = format!(
-            "bench-daemon --links 8 --shards 2 --window 2 --epochs 3 --budget-ms 1 \
-             --assert-max-journal-overhead 1e9 --out {}",
-            path.display()
-        );
-        let out = run(&argv, "").unwrap();
-        assert!(out.contains("daemon_loopback_ingest"), "{out}");
-        assert!(out.contains("daemon_reconnect_storm"), "{out}");
-        assert!(out.contains("daemon_journaled_ingest"), "{out}");
-        assert!(out.contains("daemon_recovery"), "{out}");
-        assert!(out.contains("reconnect storm vs clean loopback"), "{out}");
-        assert!(out.contains("journaled ingest vs clean loopback"), "{out}");
-        assert!(out.contains("journal gate passed"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"bench\": \"daemon\""));
-        assert!(json.contains("reconnect_storm_overhead"));
-        assert!(json.contains("journal_overhead"));
-        assert!(json.contains("\"strategies_agree\": \"true\""));
-        // An impossible gate must fail loudly.
-        let argv = format!(
-            "bench-daemon --links 8 --shards 2 --window 2 --epochs 3 --budget-ms 1 \
-             --assert-max-journal-overhead 1e-9 --out {}",
-            path.display()
-        );
-        let err = run(&argv, "").unwrap_err();
-        assert!(err.contains("regression"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

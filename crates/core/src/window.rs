@@ -55,15 +55,31 @@
 //!   overestimates when flows persist across epochs (double counting).
 //!
 //! `min` picks whichever regime the data is in, and both terms err
-//! upward, so the combination degrades gracefully in between. With
-//! W = 1 the two coincide and the windowed estimate *is* the paper's
-//! estimator. Everything is a deterministic function of per-epoch fills
-//! and bitmaps, which is what lets the property tests lock the windowed
-//! estimate to a naive reference over standalone per-epoch, per-key
-//! [`crate::SBitmap`]s bit-for-bit — no statistical guarantee the paper does not offer is
-//! pretended; deployments that need exact windowed unions at scale
-//! should pair the ring with a mergeable sketch (see the HyperLogLog
-//! lane of `sbitmap_stream::collector`).
+//! upward. Between the two regimes neither term is close. Let ρ be the
+//! fraction of a key's flows that recur in every epoch. On a ring with
+//! W = 8, m = 8000, `N_max` = 1.5M and 200 keys, each epoch feeding a
+//! key 5000 or 50000 items, the measured RRMSE (nearly all of it upward
+//! bias) is:
+//!
+//! | ρ | 0 | 0.25 | 0.5 | 1 |
+//! |---|---|---|---|---|
+//! | RRMSE | 0.9% | 28% | 78% | 2.4% |
+//!
+//! The paper's bound for one sketch of that shape
+//! ([`crate::theory::rrmse`]) is 2.3%. So the windowed estimate meets
+//! it only at the ends: disjoint epochs (ρ = 0) and identical epochs
+//! (ρ = 1). No current workload has ρ > 0: every generator, windowed
+//! test and benchmark draws disjoint per-(link, epoch) substreams.
+//!
+//! With W = 1 the two terms coincide and the windowed estimate *is* the
+//! paper's estimator. Everything is a deterministic function of
+//! per-epoch fills and bitmaps, which is what lets the property tests
+//! lock the windowed estimate to a naive reference over standalone
+//! per-epoch, per-key [`crate::SBitmap`]s bit-for-bit — no statistical
+//! guarantee the paper does not offer is pretended; deployments that
+//! need exact windowed unions at scale should pair the ring with a
+//! mergeable sketch (see the HyperLogLog lane of
+//! `sbitmap_stream::collector`).
 
 use std::cell::RefCell;
 use std::collections::HashSet;

@@ -32,9 +32,10 @@
 //!   epoch's round-0 baseline so a `MissingBaseline` answer triggers a
 //!   resync, and bounds its local backlog while the collector is away.
 //! * [`loopback`] — the end-to-end harness: daemon + one agent per
-//!   shard on loopback TCP, used by the robustness property suites and
-//!   `bench-daemon` to lock the networked pipeline **bit-identical** to
-//!   the in-process [`sbitmap_stream::run_windowed_pipeline`].
+//!   shard on loopback TCP, used by the robustness property suites
+//!   (`tests/faults.rs`, `tests/replication.rs`) to lock the networked
+//!   pipeline **bit-identical** to the in-process
+//!   [`sbitmap_stream::run_windowed_pipeline`].
 //!
 //! Fault injection lives in [`sbitmap_stream::fault`]: agents accept a
 //! [`sbitmap_stream::FaultPlan`] and wrap their own transport, so every

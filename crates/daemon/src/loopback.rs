@@ -2,8 +2,9 @@
 //! on `127.0.0.1`, fed the exact frames the in-process pipeline
 //! produces.
 //!
-//! This is the bridge the robustness suites and `bench-daemon` stand
-//! on: [`sbitmap_stream::DeltaFrameSource`] generates each shard's v3
+//! This is the bridge the robustness suites (`tests/faults.rs`,
+//! `tests/replication.rs`, `tests/lifecycle.rs`) stand on:
+//! [`sbitmap_stream::DeltaFrameSource`] generates each shard's v3
 //! round chains through the same code path as
 //! [`sbitmap_stream::run_windowed_pipeline_v3`]'s workers, so after a
 //! drain the daemon's ring must match the in-process collector
@@ -127,9 +128,9 @@ pub struct ReplicatedOutcome {
 /// configured with the ordered `[primary, standby]` address list.
 ///
 /// The standby is attached (primary `Status` reports one peer) before
-/// any agent starts, so every frame pays the full semi-synchronous
-/// replication cost — which is exactly what `bench-daemon`'s
-/// replication lane wants to measure.
+/// any agent starts, so every frame takes the full semi-synchronous
+/// path, and the standby's final ring must match the primary's bit for
+/// bit (`tests/replication.rs`).
 ///
 /// # Errors
 ///

@@ -1964,9 +1964,9 @@ fn ingest_session(
     // Queue a decoded payload, blocking on the bounded job queue when
     // the absorber falls behind — up to the busy deadline, past which
     // the frame is shed with a typed `Busy` answer (overload must not
-    // stall a socket forever). Returns `false` when the daemon side is
-    // gone and the session should end.
-    let enqueue = |epoch: u64, payload: FleetDeltaFrame, wire: Vec<u8>| -> bool {
+    // stall a socket forever). Returns `None` when the daemon side is
+    // gone and the session should end, else whether the frame was shed.
+    let enqueue = |epoch: u64, payload: FleetDeltaFrame, wire: Vec<u8>| -> Option<bool> {
         let mut job = Job::Frame(FrameJob {
             epoch,
             agent,
@@ -1976,8 +1976,8 @@ fn ingest_session(
             ack: out_tx.clone(),
         });
         job = match job_tx.try_send(job) {
-            Ok(()) => return true,
-            Err(mpsc::TrySendError::Disconnected(_)) => return false,
+            Ok(()) => return Some(false),
+            Err(mpsc::TrySendError::Disconnected(_)) => return None,
             Err(mpsc::TrySendError::Full(job)) => {
                 // The queue is the backpressure valve: stop reading the
                 // socket and retry until the absorber catches up or the
@@ -1992,8 +1992,8 @@ fn ingest_session(
         let deadline = Instant::now() + shared.cfg.busy_timeout;
         loop {
             job = match job_tx.try_send(job) {
-                Ok(()) => return true,
-                Err(mpsc::TrySendError::Disconnected(_)) => return false,
+                Ok(()) => return Some(false),
+                Err(mpsc::TrySendError::Disconnected(_)) => return None,
                 Err(mpsc::TrySendError::Full(job)) => job,
             };
             if Instant::now() >= deadline {
@@ -2009,12 +2009,18 @@ fn ingest_session(
                         shared.cfg.busy_timeout
                     ),
                 });
-                return true;
+                return Some(true);
             }
             std::thread::sleep(BUSY_POLL);
         }
     };
     let mut idle = Duration::ZERO;
+    // Set by the first shed frame. The agent answers `Busy` by ending the
+    // session and retransmitting everything unacked in order, so every
+    // later frame of this session is dropped unqueued, unacked and
+    // unanswered: queueing one would absorb it ahead of the shed frame
+    // it follows.
+    let mut shed = false;
     loop {
         match reader.read_event() {
             Ok(ReadEvent::Message(Message::BatchDelta {
@@ -2028,6 +2034,9 @@ fn ingest_session(
                     .stats
                     .bytes_on_wire
                     .fetch_add(frame.len() as u64, Ordering::Relaxed);
+                if shed {
+                    continue;
+                }
                 // Trust the handshake identity over the per-frame echo;
                 // a mismatch is a protocol slip worth flagging.
                 if frame_agent != agent {
@@ -2040,8 +2049,9 @@ fn ingest_session(
                 }
                 match FleetDeltaFrame::decode(&frame) {
                     Ok(delta) if delta.epoch == epoch && delta.round == round => {
-                        if !enqueue(epoch, delta, frame) {
-                            return;
+                        match enqueue(epoch, delta, frame) {
+                            Some(dropped) => shed = dropped,
+                            None => return,
                         }
                     }
                     Ok(delta) => {

@@ -567,7 +567,10 @@ fn overload_sheds_typed_busy_and_retransmits_land_every_frame() {
     // Queue of 1, 30 ms per absorb, 10 ms shed deadline: a 6-frame
     // burst must draw at least one typed `Busy` answer (with a
     // retry-after hint) instead of stalling the socket, and patient
-    // retransmission must still land all 6 frames exactly once.
+    // retransmission must still land all 6 frames exactly once. Like
+    // the agent, the client ends the session on `Busy` and resends
+    // everything unacked on a fresh one: the collector drops the rest of
+    // a shed session's burst unanswered.
     let daemon = Daemon::start(DaemonConfig {
         queue_frames: 1,
         credits: 8,
@@ -576,11 +579,6 @@ fn overload_sheds_typed_busy_and_retransmits_land_every_frame() {
         ..dcfg()
     })
     .unwrap();
-    let mut c = Client::connect(daemon.ingest_addr());
-    assert!(matches!(
-        c.hello(1, daemon.config_echo()),
-        Message::Welcome { .. }
-    ));
     let frames: Vec<Vec<u8>> = (0..6u64).map(|e| test_frame(e, &[e + 20])).collect();
     let mut absorbed = std::collections::HashSet::new();
     let mut busy_seen = 0u64;
@@ -590,6 +588,11 @@ fn overload_sheds_typed_busy_and_retransmits_land_every_frame() {
             Instant::now() < deadline,
             "overloaded collector never converged; absorbed {absorbed:?}"
         );
+        let mut c = Client::connect(daemon.ingest_addr());
+        assert!(matches!(
+            c.hello(1, daemon.config_echo()),
+            Message::Welcome { .. }
+        ));
         let outstanding: Vec<u64> = (0..6u64).filter(|e| !absorbed.contains(e)).collect();
         for &epoch in &outstanding {
             c.send(&Message::BatchDelta {
@@ -599,8 +602,9 @@ fn overload_sheds_typed_busy_and_retransmits_land_every_frame() {
                 frame: frames[epoch as usize].clone(),
             });
         }
-        // One reply per send: an AckDelta (absorbed or guard
-        // duplicate), or a typed Busy for a shed frame.
+        // One reply per send until the first shed: an AckDelta
+        // (absorbed or guard duplicate), or a typed Busy that ends the
+        // session.
         for _ in &outstanding {
             match c.recv() {
                 Message::AckDelta { epoch, .. } => {
@@ -613,13 +617,26 @@ fn overload_sheds_typed_busy_and_retransmits_land_every_frame() {
                 } => {
                     busy_seen += 1;
                     assert!(context > 0, "the Busy answer must carry a retry-after hint");
+                    // Frames queued ahead of the shed one still draw
+                    // their acks; nothing after it is answered.
+                    let mut quiet = Instant::now();
+                    while quiet.elapsed() < Duration::from_millis(300) {
+                        match c.reader.read_event() {
+                            Ok(ReadEvent::Message(Message::AckDelta { epoch, .. })) => {
+                                absorbed.insert(epoch);
+                                quiet = Instant::now();
+                            }
+                            Ok(ReadEvent::TimedOut) => {}
+                            other => panic!("only acks may follow a Busy, got {other:?}"),
+                        }
+                    }
+                    break;
                 }
                 other => panic!("expected AckDelta or Busy, got {other:?}"),
             }
         }
     }
     assert!(busy_seen > 0, "a 1-deep queue under this burst must shed");
-    drop(c);
     daemon.drain();
     let report = daemon.join().unwrap();
     assert_eq!(report.frames_absorbed, 6, "every frame lands exactly once");
@@ -637,14 +654,8 @@ fn agent_backs_off_on_busy_and_still_delivers_everything() {
         ..dcfg()
     })
     .unwrap();
-    // One round per epoch: each frame is a self-contained baseline, as
-    // the full frames this test used to ship were. With more rounds an
-    // 8-frame burst spans more epochs than the window, and a frame that
-    // lands past a shed one can legitimately push that epoch out of the
-    // window (acked `Expired`, invisible to every query).
     let pcfg = WindowedPipelineConfig {
         shards: 1,
-        rounds: 1,
         ..pcfg()
     };
     let (backlog, frames) = shard0_backlog(&pcfg);
