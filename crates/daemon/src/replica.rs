@@ -8,9 +8,10 @@
 //! `SBJR` bytes it appended to its own segment. Each record is decoded,
 //! routed through the absorber's job queue (the single-writer
 //! discipline is preserved: the replication client never touches the
-//! ring directly), journaled locally, and only then acknowledged with
-//! `ReplicateAck` — so the primary's "acked ⇒ replicated" guarantee
-//! means *durable on the standby*, not just received.
+//! ring directly), journaled locally, and only then answered by the
+//! absorber with a `ReplicateAck` carrying the record's seq — so the
+//! primary's "acked ⇒ replicated" guarantee means *durable on the
+//! standby*, not just received.
 //!
 //! Records ride the replay absorb path (`absorb_delta_replay`): the
 //! primary's journal order already proved every delta chain, and the
@@ -22,11 +23,10 @@
 //! daemon drains; connection loss reconnects with capped backoff and a
 //! fresh snapshot.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use sbitmap_core::journal;
@@ -138,32 +138,29 @@ fn follow_once(shared: &Arc<Shared>, addr: &str, job_tx: &mpsc::SyncSender<Job>)
 /// The post-handshake follow loop: snapshot, then records.
 ///
 /// The loop is pipelined and fully event-driven: each decoded record is
-/// queued to the absorber immediately (the bounded job queue is the
-/// only backpressure) and its seq joins a FIFO shared with a dedicated
-/// *ack pump* thread. The absorber completes jobs in queue order, so
-/// the pump — blocked on the completion channel, writing on a cloned
-/// handle of the same socket — turns every completion into the FIFO
-/// head's `ReplicateAck` the moment it lands, while this loop stays
-/// parked in `read_event` pulling the next records off the wire. No
-/// polling ticks anywhere: reads wake on bytes, acks wake on absorbs.
+/// queued to the absorber immediately, its seq riding in the job (the
+/// bounded job queue is the only backpressure). The absorber answers
+/// every record with its `ReplicateAck`, and a dedicated *ack pump*
+/// thread — blocked on that answer channel, writing on a cloned handle
+/// of the same socket — sends it the moment it lands, while this loop
+/// stays parked in `read_event` pulling the next records off the wire.
+/// No polling ticks anywhere: reads wake on bytes, acks wake on absorbs.
 fn follow_stream(
     shared: &Arc<Shared>,
     reader: &mut FrameReader<TcpStream>,
     job_tx: &mpsc::SyncSender<Job>,
 ) -> FollowEnd {
     let (ack_tx, ack_rx) = mpsc::channel::<Message>();
-    let fifo = Arc::new(Mutex::new(VecDeque::<u64>::new()));
     let failed = Arc::new(AtomicBool::new(false));
     let Ok(write_half) = reader.inner_mut().try_clone() else {
         return FollowEnd::Retry;
     };
     let pump = {
         let shared = shared.clone();
-        let fifo = fifo.clone();
         let failed = failed.clone();
-        std::thread::spawn(move || ack_pump(&shared, write_half, &fifo, &failed, &ack_rx))
+        std::thread::spawn(move || ack_pump(&shared, write_half, &failed, &ack_rx))
     };
-    let end = follow_reads(shared, reader, job_tx, &ack_tx, &fifo, &failed);
+    let end = follow_reads(shared, reader, job_tx, &ack_tx, &failed);
     // The pump owns the last word on the socket: drop our completion
     // sender so it drains the in-flight absorbs (the absorber completes
     // everything already queued) and exits, then say goodbye.
@@ -175,14 +172,13 @@ fn follow_stream(
     end
 }
 
-/// The follow loop's read half: decode, fence, queue to the absorber,
-/// and hand each record's seq to the ack pump.
+/// The follow loop's read half: decode, fence, and queue each record to
+/// the absorber with its seq.
 fn follow_reads(
     shared: &Arc<Shared>,
     reader: &mut FrameReader<TcpStream>,
     job_tx: &mpsc::SyncSender<Job>,
     ack_tx: &mpsc::Sender<Message>,
-    fifo: &Mutex<VecDeque<u64>>,
     failed: &AtomicBool,
 ) -> FollowEnd {
     loop {
@@ -230,25 +226,17 @@ fn follow_reads(
                 let Ok(payload) = decode_payload(&rec) else {
                     return FollowEnd::Retry;
                 };
-                // The seq joins the FIFO *before* the job is queued so
-                // the pump can never see a completion without its seq.
-                fifo.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push_back(seq);
                 if job_tx
                     .send(Job::Frame(FrameJob {
                         epoch: rec.epoch,
                         agent: rec.source,
                         payload,
                         wire: rec.payload,
-                        replay: true,
+                        repl_seq: Some(seq),
                         ack: ack_tx.clone(),
                     }))
                     .is_err()
                 {
-                    fifo.lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .pop_back();
                     return FollowEnd::Retry;
                 }
             }
@@ -263,61 +251,35 @@ fn follow_reads(
     }
 }
 
-/// The standby's ack writer: blocked on the absorber's completion
-/// channel, it answers each finished absorb with the in-flight FIFO
-/// head's `ReplicateAck` on its own handle of the follow socket. Any
-/// write fault, absorb error, or bookkeeping mismatch raises `failed`
-/// and stops the pump — the read half notices and resyncs.
+/// The standby's ack writer: blocked on the absorber's answer channel,
+/// it writes each `ReplicateAck` on its own handle of the follow socket.
+/// Any write fault or absorb error raises `failed` and stops the pump —
+/// the read half notices and resyncs.
 fn ack_pump(
     shared: &Shared,
     mut write_half: TcpStream,
-    fifo: &Mutex<VecDeque<u64>>,
     failed: &AtomicBool,
     ack_rx: &mpsc::Receiver<Message>,
 ) {
-    'pump: for msg in ack_rx {
-        // Acks are cumulative on the primary: batch every completion
-        // already in the channel into one `ReplicateAck` carrying the
-        // newest settled seq — one write per wakeup, not per frame.
-        let mut done = 1usize;
-        let ok = |m: &Message| matches!(m, Message::AckDelta { .. });
-        if !ok(&msg) {
-            // A typed absorb error: the record is not durable here.
-            // Withhold the ack; the primary times out, drops us, and
-            // we resync via snapshot.
-            failed.store(true, Ordering::SeqCst);
-            return;
-        }
+    while let Ok(mut ack) = ack_rx.recv() {
+        // Acks are cumulative on the primary: batch every answer already
+        // in the channel into one `ReplicateAck` carrying the newest
+        // seq — one write per wakeup, not per record.
         loop {
+            if !matches!(ack, Message::ReplicateAck { .. }) {
+                // A typed absorb error: the record is not durable here.
+                // Withhold the ack; the primary times out, drops us, and
+                // we resync via snapshot.
+                failed.store(true, Ordering::SeqCst);
+                return;
+            }
+            shared.note_replicated();
             match ack_rx.try_recv() {
-                Ok(m) if ok(&m) => done += 1,
-                Ok(_) => {
-                    failed.store(true, Ordering::SeqCst);
-                    return;
-                }
+                Ok(next) => ack = next,
                 Err(_) => break,
             }
         }
-        let mut seq = None;
-        {
-            let mut fifo = fifo
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for _ in 0..done {
-                seq = fifo.pop_front();
-                if seq.is_none() {
-                    failed.store(true, Ordering::SeqCst);
-                    return;
-                }
-                shared.note_replicated();
-            }
-        }
-        let Some(seq) = seq else { continue 'pump };
-        let reply = Message::ReplicateAck {
-            seq,
-            term: shared.term(),
-        };
-        if write_half.write_all(&net::encode(&reply)).is_err() {
+        if write_half.write_all(&net::encode(&ack)).is_err() {
             failed.store(true, Ordering::SeqCst);
             return;
         }

@@ -7,12 +7,32 @@
 //! ingest accept loop ──spawns──▶ per-connection handler
 //!  (blocks in accept)              ├─ reader (the handler thread):
 //!                                  │    handshake, decode batches,
-//!                                  │    push absorb jobs
+//!                                  │    push frame jobs — or, for a
+//!                                  │    standby session, push its
+//!                                  │    attach / ack / gone jobs
 //!                                  └─ writer thread: acks + errors
+//!                                       (standby sessions: snapshot
+//!                                       + replicated records)
 //! query accept loop  ──spawns──▶ per-connection request/reply handler
 //!  (blocks in accept)
-//! absorber thread    ◀── bounded sync_channel of decoded jobs
+//! absorber thread    ◀── bounded sync_channel of jobs
+//!   absorb → journal → ship to standby writers → hold ack → release
+//!   it to the session's writer, in absorb order
+//! replication client (standby only) ──▶ absorber; its ack pump
+//!   thread writes the absorber's `ReplicateAck`s to the primary
 //! ```
+//!
+//! A frame crosses two thread hops: reader → absorber over the bounded
+//! queue, absorber → writer over the session's reply queue. The
+//! absorber is the only owner of the frame lifecycle; standby attaches
+//! and departures reach it as jobs between two frames, so the catch-up
+//! snapshot, the ship order and the held acks need no lock. A standby's
+//! cumulative ack is a watermark its session raises (plus a wake-up
+//! job); the absorber settles every watermark at the top of each turn,
+//! so a standby ack never waits behind frames already queued. The
+//! absorber never waits on a session: while acks are held it sleeps in
+//! `recv_timeout` until the oldest one's
+//! [`DaemonConfig::replication_timeout`] deadline.
 //!
 //! The accept loops never poll: each blocks in `accept()`, so a new
 //! connection is served the moment it arrives. A drain sets the flag and
@@ -34,7 +54,7 @@
 //! magic, absurd length, EOF mid-frame) closes the connection, because
 //! after desync no frame boundary can be trusted.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -85,7 +105,7 @@ const _: () = assert!(HANDSHAKE_PAYLOAD_CAP <= 256);
 const BUSY_POLL: Duration = Duration::from_millis(1);
 
 /// How many journal records a standby sender session keeps in flight:
-/// records go on the wire as soon as the completer queues them, acks
+/// records go on the wire as soon as the absorber ships them, acks
 /// settle in order. A peer whose queue backs up this far is hopelessly
 /// behind and gets dropped (it re-syncs from a snapshot on reconnect).
 const REPL_PIPELINE: usize = 64;
@@ -357,6 +377,35 @@ pub(crate) enum Job {
         /// Where to report success/failure.
         done: mpsc::Sender<Result<(), String>>,
     },
+    /// A standby sender session asks to be shipped records: queue its
+    /// catch-up snapshot on `out`, then register it.
+    Attach {
+        peer: u64,
+        /// The session's writer-thread queue.
+        out: mpsc::Sender<Message>,
+        link: Arc<PeerLink>,
+    },
+    /// A standby raised its ack watermark ([`PeerLink::acked`]). Only a
+    /// wake-up: the absorber settles every watermark at the top of each
+    /// turn, so the ack never waits behind frames queued ahead of this
+    /// job, and a session that finds the queue full need not queue one.
+    PeerAck,
+    /// A standby sender session ended; everything in flight on it
+    /// failed.
+    PeerGone { peer: u64 },
+}
+
+/// What a standby sender session and the absorber share about one
+/// attached standby.
+#[derive(Default)]
+pub(crate) struct PeerLink {
+    /// The newest wire seq the standby has cumulatively acknowledged,
+    /// raised by the session as `ReplicateAck`s arrive.
+    acked: AtomicU64,
+    /// Set by the absorber when it drops the peer (deadline miss,
+    /// hopeless backlog); the session notices within one read deadline
+    /// and closes the connection.
+    dropped: AtomicBool,
 }
 
 /// A decoded batch frame queued for the absorber.
@@ -369,42 +418,13 @@ pub(crate) struct FrameJob {
     /// The frame exactly as it arrived on the wire — what the journal
     /// records, so replay decodes the same bytes the live path did.
     pub(crate) wire: Vec<u8>,
-    /// Replay semantics: replicated records skip the live delta
-    /// baseline check (the primary's journal order already proved the
-    /// chain, but the baseline may live only inside the catch-up
-    /// snapshot here).
-    pub(crate) replay: bool,
+    /// The primary's wire seq when this is a replicated record on a
+    /// standby. Such records skip the live delta baseline check (the
+    /// primary's journal order already proved the chain, but the
+    /// baseline may live only inside the catch-up snapshot here) and
+    /// are answered with a `ReplicateAck` carrying this seq.
+    pub(crate) repl_seq: Option<u64>,
     pub(crate) ack: mpsc::Sender<Message>,
-}
-
-/// A standby attached to this primary. The completer encodes
-/// `Replicate` frames straight onto `out` — the session's writer-thread
-/// queue — so shipping a record costs one channel send, no relay hop.
-struct ReplPeer {
-    id: u64,
-    out: mpsc::Sender<Message>,
-    /// Cleared by the completer when it detaches the peer (deadline
-    /// miss, hopeless backlog); the session's read loop notices within
-    /// one read deadline and closes the connection.
-    alive: Arc<AtomicBool>,
-}
-
-/// Everything that can wake the completer. Unifying absorber output and
-/// peer-session acknowledgements on one channel keeps the completer
-/// event-driven — it never has to poll two sources, so a finished
-/// absorb ships to the standbys immediately and a standby ack releases
-/// its agent ack immediately.
-enum CompleterEvent {
-    /// The absorber finished a frame: ship `record` (if any) and hold
-    /// the ack until every attached standby confirms.
-    Complete(Complete),
-    /// A peer session read a (cumulative) `ReplicateAck`: every record
-    /// shipped to `peer` with wire seq ≤ `acked` is on the standby.
-    PeerAck { peer: u64, acked: u64 },
-    /// A peer session died; everything still in flight on it failed.
-    PeerGone { peer: u64 },
-    /// The absorber is done; settle what remains and exit.
-    Shutdown,
 }
 
 /// State shared by every daemon thread.
@@ -433,12 +453,9 @@ pub(crate) struct Shared {
     /// Asks the absorber to rotate the journal segment so a freshly
     /// bumped term reaches disk (set by promotion).
     promote_rotate: AtomicBool,
-    /// Standby sender sessions currently attached (primary side).
-    peers: Mutex<Vec<ReplPeer>>,
-    /// The completer's event inlet, cloned by replication sender
-    /// sessions so they can report standby acks. Set by the absorber
-    /// before the recovering gate opens; `None` only before that.
-    repl_events: Mutex<Option<mpsc::Sender<CompleterEvent>>>,
+    /// Standbys currently attached (primary side), kept by the
+    /// absorber — surfaced by [`QueryRequest::Status`].
+    attached: AtomicU64,
     stats: Stats,
 }
 
@@ -608,8 +625,7 @@ impl Daemon {
             journal_seq: AtomicU64::new(journal_seq),
             standby_stop: AtomicBool::new(false),
             promote_rotate: AtomicBool::new(false),
-            peers: Mutex::new(Vec::new()),
-            repl_events: Mutex::new(None),
+            attached: AtomicU64::new(0),
             stats: Stats::default(),
         });
         let (job_tx, job_rx) = mpsc::sync_channel::<Job>(shared.cfg.queue_frames);
@@ -1146,34 +1162,16 @@ fn maybe_snapshot(shared: &Shared, d: &mut Durability) {
     shared.stats.snapshots.fetch_add(1, Ordering::Relaxed);
 }
 
-/// One finished absorb handed to the completer thread: the ack to
-/// release, and — for a newly absorbed primary frame — the journal
-/// record image to ship to every attached standby first.
-struct Complete {
-    msg: Message,
-    ack: mpsc::Sender<Message>,
-    record: Option<Arc<Vec<u8>>>,
-}
-
-/// `true` when at least one standby sender session is attached.
-fn has_peers(shared: &Shared) -> bool {
-    !shared
-        .peers
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .is_empty()
-}
-
-/// One agent ack the completer is holding back until every standby that
+/// One agent ack the absorber is holding back until every standby that
 /// was attached at ship time has acknowledged the frame's journal
 /// record (or missed the replication deadline and been dropped).
 struct PendingAck {
-    /// The completer's own monotone id for this frame (what per-peer
+    /// The absorber's own monotone id for this frame (what per-peer
     /// ship FIFOs reference).
     seq: u64,
     msg: Message,
     ack: mpsc::Sender<Message>,
-    /// Whether a journal record rode along (drives the crash-site
+    /// Whether a journal record was shipped (drives the crash-site
     /// counter and the `AfterReplicate` semantics: after broadcast,
     /// before the agent ack).
     record: bool,
@@ -1182,72 +1180,101 @@ struct PendingAck {
     waits: Vec<u64>,
 }
 
-/// The completer's view of one attached standby: the wire seqs shipped
-/// to it and not yet acked, paired with the pending acks they hold up
-/// (a standby acks strictly in ship order, so a cumulative `PeerAck`
-/// settles a prefix of this FIFO).
-struct PeerShip {
+/// One attached standby. The absorber encodes `Replicate` frames
+/// straight onto `out` — the session's writer-thread queue — so
+/// shipping a record costs one channel send, no relay hop.
+struct Peer {
+    id: u64,
+    out: mpsc::Sender<Message>,
+    link: Arc<PeerLink>,
+    /// Wire seqs shipped and not yet acked, paired with the pending
+    /// acks they hold up (a standby acks strictly in ship order, so a
+    /// cumulative ack settles a prefix of this FIFO).
     fifo: VecDeque<(u64, u64)>,
     next_wire: u64,
 }
 
-/// The completer's working state: acks held in absorb order, plus the
-/// per-peer ship FIFOs.
-struct Completer {
+/// What the absorber tracks past the ring and the journal: acks held in
+/// absorb order, and the attached standbys they wait on.
+#[derive(Default)]
+struct Holds {
     pending: VecDeque<PendingAck>,
-    ships: HashMap<u64, PeerShip>,
+    peers: Vec<Peer>,
     next_seq: u64,
     shipped: u64,
 }
 
-impl Completer {
-    /// Ship one absorbed frame's record to every attached standby
-    /// without waiting, and hold its ack. The `Replicate` frame goes
-    /// straight onto each peer's writer queue; a peer already sitting
+impl Holds {
+    /// Attach a standby between two frames: queue the catch-up snapshot
+    /// on its writer, then register it for shipping. No record can reach
+    /// the writer ahead of the snapshot, and every frame absorbed so far
+    /// is inside it — each frame is covered once-or-more (the overlap
+    /// replays as OR-idempotent duplicates on the standby).
+    fn attach(
+        &mut self,
+        shared: &Shared,
+        id: u64,
+        out: mpsc::Sender<Message>,
+        link: Arc<PeerLink>,
+    ) {
+        let frame = lock_ring(&shared.ring).checkpoint();
+        let _ = out.send(Message::ReplicateSnapshot {
+            term: shared.term(),
+            frame,
+        });
+        self.peers.push(Peer {
+            id,
+            out,
+            link,
+            fifo: VecDeque::new(),
+            next_wire: 0,
+        });
+        shared
+            .attached
+            .store(self.peers.len() as u64, Ordering::SeqCst);
+    }
+
+    /// Ship one absorbed frame's record (if any) to every attached
+    /// standby without waiting, and hold its ack. A peer already sitting
     /// on [`REPL_PIPELINE`] unacked records is hopelessly behind and is
     /// dropped on the spot — it re-syncs from a snapshot on reconnect.
-    fn ship(&mut self, shared: &Shared, c: Complete) {
+    fn ship(
+        &mut self,
+        shared: &Shared,
+        msg: Message,
+        ack: mpsc::Sender<Message>,
+        record: Option<Vec<u8>>,
+    ) {
         self.next_seq += 1;
         let seq = self.next_seq;
         let mut waits = Vec::new();
         let mut dead = Vec::new();
-        if let Some(record) = &c.record {
+        if let Some(record) = &record {
             let term = shared.term();
-            let mut peers = shared
-                .peers
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            peers.retain(|p| {
-                let ship = self.ships.entry(p.id).or_insert_with(|| PeerShip {
-                    fifo: VecDeque::new(),
-                    next_wire: 0,
-                });
-                ship.next_wire += 1;
-                let sent = ship.fifo.len() < REPL_PIPELINE
+            for p in &mut self.peers {
+                p.next_wire += 1;
+                let sent = p.fifo.len() < REPL_PIPELINE
                     && p.out
                         .send(Message::Replicate {
-                            seq: ship.next_wire,
+                            seq: p.next_wire,
                             term,
-                            record: record.as_ref().clone(),
+                            record: record.clone(),
                         })
                         .is_ok();
                 if sent {
                     waits.push(p.id);
-                    ship.fifo.push_back((ship.next_wire, seq));
-                    true
+                    p.fifo.push_back((p.next_wire, seq));
                 } else {
                     shared.stats.replica_drops.fetch_add(1, Ordering::Relaxed);
-                    p.alive.store(false, Ordering::SeqCst);
                     dead.push(p.id);
-                    false
                 }
-            });
+            }
         }
         self.pending.push_back(PendingAck {
             seq,
-            msg: c.msg,
-            ack: c.ack,
-            record: c.record.is_some(),
+            msg,
+            ack,
+            record: record.is_some(),
             shipped_at: Instant::now(),
             waits,
         });
@@ -1256,33 +1283,42 @@ impl Completer {
         }
     }
 
-    /// A peer cumulatively acknowledged every record shipped to it with
-    /// wire seq ≤ `acked`.
-    fn peer_acked(&mut self, shared: &Shared, peer: u64, acked: u64) {
-        // A stray ack from a peer the deadline already expired is
-        // simply absent from the map.
-        let Some(ship) = self.ships.get_mut(&peer) else {
-            return;
-        };
-        while ship.fifo.front().is_some_and(|(wire, _)| *wire <= acked) {
-            let (_, seq) = ship.fifo.pop_front().expect("front exists");
-            if let Some(p) = self.pending.iter_mut().find(|p| p.seq == seq) {
-                p.waits.retain(|id| *id != peer);
-                shared
-                    .stats
-                    .replicated_frames
-                    .fetch_add(1, Ordering::Relaxed);
+    /// Settle every peer's ack watermark: each record shipped to a peer
+    /// with wire seq ≤ its [`PeerLink::acked`] is on that standby.
+    fn settle(&mut self, shared: &Shared) {
+        for p in &mut self.peers {
+            let acked = p.link.acked.load(Ordering::SeqCst);
+            while p.fifo.front().is_some_and(|(wire, _)| *wire <= acked) {
+                let (_, seq) = p.fifo.pop_front().expect("front exists");
+                if let Some(held) = self.pending.iter_mut().find(|h| h.seq == seq) {
+                    held.waits.retain(|id| *id != p.id);
+                    shared
+                        .stats
+                        .replicated_frames
+                        .fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
     }
 
-    /// Forget a dead peer: every record still in flight on it failed.
+    /// Detach a peer: every record still in flight on it failed.
+    /// Setting `dropped` tells its session to close.
     fn drop_peer(&mut self, shared: &Shared, peer: u64) {
-        self.ships.remove(&peer);
-        for p in &mut self.pending {
-            let before = p.waits.len();
-            p.waits.retain(|id| *id != peer);
-            let failed = (before - p.waits.len()) as u64;
+        let Some(i) = self.peers.iter().position(|p| p.id == peer) else {
+            return;
+        };
+        self.peers
+            .swap_remove(i)
+            .link
+            .dropped
+            .store(true, Ordering::SeqCst);
+        shared
+            .attached
+            .store(self.peers.len() as u64, Ordering::SeqCst);
+        for held in &mut self.pending {
+            let before = held.waits.len();
+            held.waits.retain(|id| *id != peer);
+            let failed = (before - held.waits.len()) as u64;
             if failed > 0 {
                 shared
                     .stats
@@ -1290,16 +1326,20 @@ impl Completer {
                     .fetch_add(failed, Ordering::Relaxed);
             }
         }
-        // Clearing `alive` tells the sender session to close; the
-        // session deregisters itself on the way out.
-        let mut peers = shared
-            .peers
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(p) = peers.iter().find(|p| p.id == peer) {
-            p.alive.store(false, Ordering::SeqCst);
+    }
+
+    /// The oldest held ack missed [`DaemonConfig::replication_timeout`]:
+    /// drop every peer still holding it up.
+    fn expire_front(&mut self, shared: &Shared) {
+        let Some(front) = self.pending.front() else {
+            return;
+        };
+        if front.shipped_at.elapsed() < shared.cfg.replication_timeout {
+            return;
         }
-        peers.retain(|p| p.id != peer);
+        for peer in front.waits.clone() {
+            self.drop_peer(shared, peer);
+        }
     }
 
     /// Release every front ack whose waits are all settled.
@@ -1315,78 +1355,6 @@ impl Completer {
             }
             let _ = p.ack.send(p.msg);
         }
-    }
-
-    /// The oldest ack missed [`DaemonConfig::replication_timeout`]:
-    /// drop every peer still holding it up.
-    fn expire_front(&mut self, shared: &Shared) {
-        let Some(front) = self.pending.front() else {
-            return;
-        };
-        if front.shipped_at.elapsed() < shared.cfg.replication_timeout {
-            return;
-        }
-        for peer in front.waits.clone() {
-            self.drop_peer(shared, peer);
-        }
-    }
-}
-
-/// The completer thread: ships each newly absorbed record to every
-/// attached standby *immediately*, then releases agent acks in absorb
-/// order as the standby acknowledgements stream back. Everything is
-/// event-driven over one channel — no polling ticks anywhere — so the
-/// standby can be absorbing record N while records N+1.. are already on
-/// the wire, and the write-ahead guarantee ("acked ⇒ journaled and
-/// replicated") costs latency, not throughput.
-fn completer_loop(shared: &Shared, rx: &mpsc::Receiver<CompleterEvent>) {
-    let mut state = Completer {
-        pending: VecDeque::new(),
-        ships: HashMap::new(),
-        next_seq: 0,
-        shipped: 0,
-    };
-    let mut open = true;
-    while open || !state.pending.is_empty() {
-        let event = if let Some(front) = state.pending.front() {
-            // Wake when the oldest ack would miss the replication
-            // deadline, even if no event arrives.
-            let left = shared
-                .cfg
-                .replication_timeout
-                .saturating_sub(front.shipped_at.elapsed());
-            match rx.recv_timeout(left) {
-                Ok(e) => e,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    state.expire_front(shared);
-                    state.release_ready(shared);
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // Absorber and every session are gone; nothing can
-                    // settle the remaining waits.
-                    for p in &mut state.pending {
-                        for _ in p.waits.drain(..) {
-                            shared.stats.replica_drops.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    state.release_ready(shared);
-                    break;
-                }
-            }
-        } else {
-            match rx.recv() {
-                Ok(e) => e,
-                Err(_) => break,
-            }
-        };
-        match event {
-            CompleterEvent::Complete(c) => state.ship(shared, c),
-            CompleterEvent::PeerAck { peer, acked } => state.peer_acked(shared, peer, acked),
-            CompleterEvent::PeerGone { peer } => state.drop_peer(shared, peer),
-            CompleterEvent::Shutdown => open = false,
-        }
-        state.release_ready(shared);
     }
 }
 
@@ -1465,178 +1433,200 @@ fn maybe_promote_rotate(shared: &Shared, durability: &mut Option<Durability>) {
     }
 }
 
-/// The single ring writer: replays the journal tail (when recovering),
-/// then drains the bounded job queue until every sender is gone. Each
-/// frame is absorbed, journaled, and handed to the completer thread,
-/// which ships it to the standbys and only then releases the ack.
-fn absorber_loop(shared: &Arc<Shared>, rx: &mpsc::Receiver<Job>, durability: Option<Durability>) {
+/// The single ring writer and the only owner of the frame lifecycle:
+/// replays the journal tail (when recovering), then drains the bounded
+/// job queue until every sender is gone. Each frame is absorbed,
+/// journaled and shipped to the attached standbys, and its ack is held
+/// until they confirm (see the module doc for how standby events reach
+/// it).
+fn absorber_loop(shared: &Shared, rx: &mpsc::Receiver<Job>, durability: Option<Durability>) {
     let mut durability = durability;
     if let Some(d) = durability.as_ref() {
         replay_journal(shared, d);
     }
-    let (comp_tx, comp_rx) = mpsc::channel::<CompleterEvent>();
-    // Publish the completer's inlet before the recovery gate opens so a
-    // replication sender session can never race past it.
-    *shared
-        .repl_events
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(comp_tx.clone());
     shared.recovering.store(false, Ordering::SeqCst);
-    let completer = {
-        let shared = shared.clone();
-        std::thread::spawn(move || completer_loop(&shared, &comp_rx))
-    };
-    for job in rx {
-        maybe_promote_rotate(shared, &mut durability);
-        let job = match job {
-            Job::Frame(job) => job,
-            Job::InstallSnapshot { bytes, done } => {
-                let _ = done.send(install_snapshot(shared, &mut durability, &bytes));
-                continue;
+    let mut holds = Holds::default();
+    loop {
+        let job = match holds.pending.front() {
+            // Wake when the oldest held ack would miss the replication
+            // deadline, even if no job arrives.
+            Some(front) => {
+                let left = shared
+                    .cfg
+                    .replication_timeout
+                    .saturating_sub(front.shipped_at.elapsed());
+                match rx.recv_timeout(left) {
+                    Ok(job) => Some(job),
+                    Err(mpsc::RecvTimeoutError::Timeout) => None,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                }
             }
+            None => match rx.recv() {
+                Ok(job) => Some(job),
+                Err(_) => break,
+            },
         };
-        if !shared.cfg.absorb_stall.is_zero() {
-            std::thread::sleep(shared.cfg.absorb_stall);
+        maybe_promote_rotate(shared, &mut durability);
+        holds.settle(shared);
+        match job {
+            None | Some(Job::PeerAck) => {}
+            Some(Job::Frame(job)) => absorb_frame(shared, &mut durability, &mut holds, job),
+            Some(Job::InstallSnapshot { bytes, done }) => {
+                let _ = done.send(install_snapshot(shared, &mut durability, &bytes));
+            }
+            Some(Job::Attach { peer, out, link }) => holds.attach(shared, peer, out, link),
+            Some(Job::PeerGone { peer }) => holds.drop_peer(shared, peer),
         }
-        let term = shared.term();
-        let mut newly_absorbed = false;
-        let mut msg = {
-            let mut ring = lock_ring(&shared.ring);
-            let current = ring.current_epoch();
-            if job.epoch > current && job.epoch - current > MAX_EPOCH_JUMP {
-                shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                Message::Error {
-                    code: ErrorCode::EpochOutOfRange,
-                    context: job.epoch,
-                    detail: format!("epoch {} is too far ahead of {current}", job.epoch),
-                }
+        // Checked on every turn, not only on an idle timeout, so a
+        // steady job stream cannot hold a dead standby's deadline off.
+        holds.expire_front(shared);
+        holds.release_ready(shared);
+    }
+    // Every session is gone, so nothing can settle the remaining waits:
+    // drop the peers and flush the held acks before the ring is read for
+    // the final drain summaries.
+    while let Some(peer) = holds.peers.first().map(|p| p.id) {
+        holds.drop_peer(shared, peer);
+    }
+    holds.release_ready(shared);
+}
+
+/// Absorb one frame, journal it, then ship its record and hold its ack
+/// (see [`Holds::ship`]).
+fn absorb_frame(
+    shared: &Shared,
+    durability: &mut Option<Durability>,
+    holds: &mut Holds,
+    job: FrameJob,
+) {
+    if !shared.cfg.absorb_stall.is_zero() {
+        std::thread::sleep(shared.cfg.absorb_stall);
+    }
+    let term = shared.term();
+    let mut newly_absorbed = false;
+    let mut msg = {
+        let mut ring = lock_ring(&shared.ring);
+        let current = ring.current_epoch();
+        if job.epoch > current && job.epoch - current > MAX_EPOCH_JUMP {
+            shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+            Message::Error {
+                code: ErrorCode::EpochOutOfRange,
+                context: job.epoch,
+                detail: format!("epoch {} is too far ahead of {current}", job.epoch),
+            }
+        } else {
+            if job.epoch > current {
+                ring.advance_to(job.epoch).expect("monotone advance");
+            }
+            // Replicated records ride the replay path: the primary's
+            // journal order already proved the delta chain, and the
+            // baseline may live only inside the catch-up snapshot here.
+            let absorbed = if job.repl_seq.is_some() {
+                ring.absorb_delta_replay(job.agent, &job.payload)
             } else {
-                if job.epoch > current {
-                    ring.advance_to(job.epoch).expect("monotone advance");
-                }
-                // Replicated records ride the replay path: the primary's
-                // journal order already proved the delta chain, and the
-                // baseline may live only inside the catch-up snapshot
-                // here.
-                let absorbed = if job.replay {
-                    ring.absorb_delta_replay(job.agent, &job.payload)
-                } else {
-                    ring.absorb_delta_from(job.agent, &job.payload)
-                };
-                match absorbed {
-                    Ok(outcome) => {
-                        let counter = match outcome {
-                            AbsorbOutcome::Absorbed => &shared.stats.frames_absorbed,
-                            AbsorbOutcome::Duplicate => &shared.stats.duplicates,
-                            AbsorbOutcome::Expired => &shared.stats.expired,
-                        };
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        newly_absorbed = outcome == AbsorbOutcome::Absorbed;
-                        let outcome = match outcome {
-                            AbsorbOutcome::Absorbed => sbitmap_stream::net::AckOutcome::Absorbed,
-                            AbsorbOutcome::Duplicate => sbitmap_stream::net::AckOutcome::Duplicate,
-                            AbsorbOutcome::Expired => sbitmap_stream::net::AckOutcome::Expired,
-                        };
-                        Message::AckDelta {
+                ring.absorb_delta_from(job.agent, &job.payload)
+            };
+            match absorbed {
+                Ok(outcome) => {
+                    let counter = match outcome {
+                        AbsorbOutcome::Absorbed => &shared.stats.frames_absorbed,
+                        AbsorbOutcome::Duplicate => &shared.stats.duplicates,
+                        AbsorbOutcome::Expired => &shared.stats.expired,
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    newly_absorbed = outcome == AbsorbOutcome::Absorbed;
+                    let outcome = match outcome {
+                        AbsorbOutcome::Absorbed => sbitmap_stream::net::AckOutcome::Absorbed,
+                        AbsorbOutcome::Duplicate => sbitmap_stream::net::AckOutcome::Duplicate,
+                        AbsorbOutcome::Expired => sbitmap_stream::net::AckOutcome::Expired,
+                    };
+                    match job.repl_seq {
+                        // A standby answers the primary's record itself;
+                        // the session's ack pump batches these into one
+                        // cumulative `ReplicateAck` per write.
+                        Some(seq) => Message::ReplicateAck { seq, term },
+                        None => Message::AckDelta {
                             epoch: job.epoch,
                             round: job.payload.round,
                             outcome,
                             term,
-                        }
+                        },
                     }
-                    Err(SBitmapError::MissingBaseline { epoch, round }) => {
-                        // Not corruption: the chain head never landed
-                        // (daemon restart, expiry race). The typed error
-                        // tells the agent to resend the epoch from its
-                        // round-0 baseline.
-                        shared
-                            .stats
-                            .missing_baselines
-                            .fetch_add(1, Ordering::Relaxed);
-                        Message::Error {
-                            code: ErrorCode::MissingBaseline,
-                            context: epoch,
-                            detail: format!(
-                                "delta round {round} for epoch {epoch} has no absorbed baseline"
-                            ),
-                        }
+                }
+                Err(SBitmapError::MissingBaseline { epoch, round }) => {
+                    // Not corruption: the chain head never landed
+                    // (daemon restart, expiry race). The typed error
+                    // tells the agent to resend the epoch from its
+                    // round-0 baseline.
+                    shared
+                        .stats
+                        .missing_baselines
+                        .fetch_add(1, Ordering::Relaxed);
+                    Message::Error {
+                        code: ErrorCode::MissingBaseline,
+                        context: epoch,
+                        detail: format!(
+                            "delta round {round} for epoch {epoch} has no absorbed baseline"
+                        ),
                     }
-                    Err(e) => {
-                        shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                        Message::Error {
-                            code: ErrorCode::BadFrame,
-                            context: job.epoch,
-                            detail: e.to_string(),
-                        }
+                }
+                Err(e) => {
+                    shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+                    Message::Error {
+                        code: ErrorCode::BadFrame,
+                        context: job.epoch,
+                        detail: e.to_string(),
                     }
                 }
             }
-        };
-        let mut journal_ok = true;
-        let mut record = None;
-        if newly_absorbed {
-            // Replicated records are never re-shipped (no cascading
-            // replication); local frames only need encoding when a
-            // standby is actually attached.
-            let want_ship = !job.replay && has_peers(shared);
-            if let Some(d) = durability.as_mut() {
-                match journal_absorbed(shared, d, &job) {
-                    Ok(encoded) => {
-                        if want_ship {
-                            record = Some(Arc::new(encoded));
-                        }
-                    }
-                    Err(detail) => {
-                        // The frame reached memory but not the journal:
-                        // do not ack it as durable. The typed error
-                        // makes the agent retransmit once the disk
-                        // recovers, and the retry lands as a guarded
-                        // duplicate if it races.
-                        shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                        journal_ok = false;
-                        msg = Message::Error {
-                            code: ErrorCode::Internal,
-                            context: job.epoch,
-                            detail,
-                        };
+        }
+    };
+    let mut journal_ok = true;
+    let mut record = None;
+    if newly_absorbed {
+        // Replicated records are never re-shipped (no cascading
+        // replication); local frames only need encoding when a standby
+        // is actually attached.
+        let want_ship = job.repl_seq.is_none() && !holds.peers.is_empty();
+        if let Some(d) = durability.as_mut() {
+            match journal_absorbed(shared, d, &job) {
+                Ok(encoded) => {
+                    if want_ship {
+                        record = Some(encoded);
                     }
                 }
-            } else if want_ship {
-                record = Some(Arc::new(journal::encode_record(&JournalRecord {
-                    source: job.agent,
-                    epoch: job.epoch,
-                    payload: job.wire.clone(),
-                })));
+                Err(detail) => {
+                    // The frame reached memory but not the journal: do
+                    // not ack it as durable. The typed error makes the
+                    // agent retransmit once the disk recovers, and the
+                    // retry lands as a guarded duplicate if it races.
+                    shared.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+                    journal_ok = false;
+                    msg = Message::Error {
+                        code: ErrorCode::Internal,
+                        context: job.epoch,
+                        detail,
+                    };
+                }
             }
-        }
-        // Every ack routes through the completer so per-session ack
-        // order matches absorb order even when only some frames ship.
-        if comp_tx
-            .send(CompleterEvent::Complete(Complete {
-                msg,
-                ack: job.ack,
-                record,
-            }))
-            .is_err()
-        {
-            return;
-        }
-        if newly_absorbed && journal_ok {
-            if let Some(d) = durability.as_mut() {
-                maybe_snapshot(shared, d);
-            }
+        } else if want_ship {
+            record = Some(journal::encode_record(&JournalRecord {
+                source: job.agent,
+                epoch: job.epoch,
+                payload: job.wire.clone(),
+            }));
         }
     }
-    // Stop handing out the inlet, tell the completer no more frames are
-    // coming, and let it flush every held ack before the ring is read
-    // for the final drain summaries.
-    *shared
-        .repl_events
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-    let _ = comp_tx.send(CompleterEvent::Shutdown);
-    drop(comp_tx);
-    let _ = completer.join();
+    // Every ack is held in absorb order, so per-session ack order
+    // matches absorb order even when only some frames ship. Whatever is
+    // releasable leaves before a snapshot write can delay it.
+    holds.ship(shared, msg, job.ack, record);
+    holds.release_ready(shared);
+    if newly_absorbed && journal_ok {
+        if let Some(d) = durability.as_mut() {
+            maybe_snapshot(shared, d);
+        }
+    }
 }
 
 /// A session's reader, capped at [`HANDSHAKE_PAYLOAD_CAP`] until the
@@ -1864,76 +1854,44 @@ fn ingest_conn(shared: &Arc<Shared>, stream: TcpStream, job_tx: &mpsc::SyncSende
         if role == Role::Ingest {
             ingest_session(shared, &mut reader, &out_tx, job_tx, agent);
         } else {
-            replicate_sender_session(shared, &mut reader, &out_tx, agent);
+            replicate_sender_session(shared, &mut reader, &out_tx, job_tx);
         }
     }
     drop(out_tx);
     let _ = writer.join();
 }
 
-/// The primary side of one attached standby: register with the
-/// completer's peer list, ship a catch-up snapshot, then relay each
-/// journal record the completer hands over and report its ack.
-///
-/// Registration happens *before* the ring checkpoint is taken, so every
-/// record is covered exactly once-or-more: anything absorbed before the
-/// checkpoint is inside it, anything after is queued to this peer, and
-/// the overlap replays as OR-idempotent duplicates on the standby.
+/// The primary side of one attached standby. The session hands itself
+/// to the absorber, which queues the catch-up snapshot on the writer
+/// and from then on ships every newly journaled record straight onto
+/// it; this loop only raises the peer's ack watermark as the standby's
+/// cumulative acks arrive. Deadline enforcement lives in the absorber
+/// (`Holds::expire_front`), which sets `dropped` to evict the session.
 fn replicate_sender_session(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     reader: &mut FrameReader<TcpStream>,
     out_tx: &mpsc::Sender<Message>,
-    _agent: u64,
+    job_tx: &mpsc::SyncSender<Job>,
 ) {
-    // The completer's event inlet exists once the absorber is past
-    // recovery; a session that somehow lands earlier just closes.
-    let Some(comp_tx) = shared
-        .repl_events
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone()
-    else {
-        return;
-    };
     static PEER_SEQ: AtomicU64 = AtomicU64::new(1);
-    let peer_id = PEER_SEQ.fetch_add(1, Ordering::Relaxed);
-    let alive = Arc::new(AtomicBool::new(true));
-    {
-        // Checkpoint, queue the snapshot and register while holding the
-        // peers lock: the completer ships under the same lock, so no
-        // record can slip onto the writer queue ahead of the snapshot,
-        // and anything absorbed before registration is inside it —
-        // every frame is covered once-or-more (the overlap replays as
-        // OR-idempotent duplicates on the standby).
-        let mut peers = shared
-            .peers
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let frame = lock_ring(&shared.ring).checkpoint();
-        let _ = out_tx.send(Message::ReplicateSnapshot {
-            term: shared.term(),
-            frame,
-        });
-        peers.push(ReplPeer {
-            id: peer_id,
-            out: out_tx.clone(),
-            alive: alive.clone(),
-        });
+    let peer = PEER_SEQ.fetch_add(1, Ordering::Relaxed);
+    let link = Arc::new(PeerLink::default());
+    let attach = Job::Attach {
+        peer,
+        out: out_tx.clone(),
+        link: link.clone(),
+    };
+    if job_tx.send(attach).is_err() {
+        return;
     }
-    // Records are shipped by the completer directly; this loop only
-    // reads the standby's cumulative acks and forwards them as
-    // `PeerAck` events. Deadline enforcement lives in the completer
-    // (`expire_front`), which clears `alive` to evict us.
     loop {
         match reader.read_event() {
-            Ok(ReadEvent::Message(Message::ReplicateAck { seq: acked, .. })) => {
-                let _ = comp_tx.send(CompleterEvent::PeerAck {
-                    peer: peer_id,
-                    acked,
-                });
+            Ok(ReadEvent::Message(Message::ReplicateAck { seq, .. })) => {
+                link.acked.fetch_max(seq, Ordering::SeqCst);
+                let _ = job_tx.try_send(Job::PeerAck);
             }
             Ok(ReadEvent::TimedOut) => {
-                if shared.draining() || !alive.load(Ordering::SeqCst) {
+                if shared.draining() || link.dropped.load(Ordering::SeqCst) {
                     break;
                 }
             }
@@ -1943,14 +1901,7 @@ fn replicate_sender_session(
             Ok(_) => {}
         }
     }
-    // Anything still un-acked failed with the session; `PeerGone` makes
-    // the completer count the drops and detach this peer.
-    let _ = comp_tx.send(CompleterEvent::PeerGone { peer: peer_id });
-    shared
-        .peers
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .retain(|p| p.id != peer_id);
+    let _ = job_tx.send(Job::PeerGone { peer });
 }
 
 /// The post-handshake ingest loop.
@@ -1972,7 +1923,7 @@ fn ingest_session(
             agent,
             payload,
             wire,
-            replay: false,
+            repl_seq: None,
             ack: out_tx.clone(),
         });
         job = match job_tx.try_send(job) {
@@ -2238,11 +2189,7 @@ fn answer(shared: &Shared, req: &QueryRequest) -> QueryReply {
                 absorbed: s.frames_absorbed.load(Ordering::Relaxed),
                 shed: s.busy_rejections.load(Ordering::Relaxed),
                 replicated: s.replicated_frames.load(Ordering::Relaxed),
-                peers: shared
-                    .peers
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len() as u64,
+                peers: shared.attached.load(Ordering::SeqCst),
             }
         }
         QueryRequest::Promote => QueryReply::Promoted {

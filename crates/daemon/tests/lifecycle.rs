@@ -527,6 +527,111 @@ fn duplicate_frames_are_acked_duplicate_and_change_nothing() {
 }
 
 #[test]
+fn epoch_jump_past_the_bound_is_refused_typed_and_the_ring_is_untouched() {
+    // The daemon's `MAX_EPOCH_JUMP`: a frame may run at most 2^20 epochs
+    // ahead of the ring's open epoch.
+    const MAX_EPOCH_JUMP: u64 = 1 << 20;
+    let daemon = Daemon::start(dcfg()).unwrap();
+    let mut c = Client::connect(daemon.ingest_addr());
+    assert!(matches!(
+        c.hello(1, daemon.config_echo()),
+        Message::Welcome { .. }
+    ));
+    c.send(&baseline(0, 1, &[5]));
+    match c.recv() {
+        Message::AckDelta { outcome, .. } => assert_eq!(outcome, AckOutcome::Absorbed),
+        other => panic!("expected AckDelta, got {other:?}"),
+    }
+    let far = MAX_EPOCH_JUMP + 1;
+    c.send(&baseline(far, 1, &[6]));
+    match c.recv() {
+        Message::Error { code, context, .. } => {
+            assert_eq!(code, ErrorCode::EpochOutOfRange);
+            assert_eq!(context, far, "the refusal names the offending epoch");
+        }
+        other => panic!("expected EpochOutOfRange, got {other:?}"),
+    }
+    // The session lives on, and the ring never moved toward `far`: the
+    // next epoch still lands as an ordinary one-step advance.
+    c.send(&baseline(1, 1, &[7]));
+    match c.recv() {
+        Message::AckDelta { epoch, outcome, .. } => {
+            assert_eq!((epoch, outcome), (1, AckOutcome::Absorbed));
+        }
+        other => panic!("expected AckDelta, got {other:?}"),
+    }
+    drop(c);
+    daemon.drain();
+    let report = daemon.join().unwrap();
+    assert_eq!(report.final_epoch, 1);
+    assert_eq!(report.bad_frames, 1);
+    assert_eq!(report.frames_absorbed, 2);
+
+    let cfg = dcfg();
+    let schedule = Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).unwrap());
+    let mut expected: WindowedFleet =
+        WindowedFleet::with_schedule(schedule, cfg.seed, cfg.window).unwrap();
+    assert!(expected.absorb_epoch(0, &test_fleet(&[5])).unwrap());
+    expected.advance_to(1).unwrap();
+    assert!(expected.absorb_epoch(1, &test_fleet(&[7])).unwrap());
+    assert_eq!(report.final_checkpoint, expected.checkpoint());
+}
+
+#[test]
+fn silent_connections_are_closed_at_the_idle_limit() {
+    let idle_limit = Duration::from_millis(300);
+    let daemon = Daemon::start(DaemonConfig {
+        idle_limit,
+        ..dcfg()
+    })
+    .unwrap();
+    // How long after `since` the collector closed `c`.
+    let closed_after = |c: &mut Client, since: Instant| loop {
+        match c.reader.read_event() {
+            Ok(ReadEvent::Closed) | Err(_) => return since.elapsed(),
+            Ok(ReadEvent::TimedOut) => assert!(
+                since.elapsed() < Duration::from_secs(10),
+                "a silent session is still open after 10 s"
+            ),
+            other => panic!("unexpected read event on a silent session: {other:?}"),
+        }
+    };
+    // Each clock starts before the collector can start its own: at the
+    // connect for a session that never says `Hello`, at the `Hello` for
+    // the welcomed ones.
+    let mute_since = Instant::now();
+    let mut mute = Client::connect(daemon.ingest_addr());
+    let ingest_since = Instant::now();
+    let mut ingest = Client::connect(daemon.ingest_addr());
+    assert!(matches!(
+        ingest.hello(1, daemon.config_echo()),
+        Message::Welcome { .. }
+    ));
+    let query_since = Instant::now();
+    let mut query = Client::connect(daemon.query_addr());
+    query.send(&Message::Hello {
+        proto: PROTO_VERSION,
+        role: Role::Query,
+        agent: 0,
+        config: daemon.config_echo(),
+    });
+    assert!(matches!(query.recv(), Message::Welcome { .. }));
+
+    for (name, c, since) in [
+        ("ingest session without Hello", &mut mute, mute_since),
+        ("welcomed ingest session", &mut ingest, ingest_since),
+        ("welcomed query session", &mut query, query_since),
+    ] {
+        let after = closed_after(c, since);
+        assert!(after >= idle_limit, "{name} closed after {after:?}");
+    }
+    daemon.drain();
+    let report = daemon.join().unwrap();
+    assert_eq!(report.connections, 3);
+    assert_eq!(report.frames_absorbed, 0);
+}
+
+#[test]
 fn slow_absorber_engages_backpressure_without_losing_frames() {
     let daemon = Daemon::start(DaemonConfig {
         queue_frames: 1,

@@ -4,13 +4,17 @@
 //! promoted, stale-term acks are discarded by agents, a reconnect storm
 //! against a freshly promoted standby still converges exactly, and the
 //! replication handshake enforces the same config agreement (and term
-//! fencing) as ingest.
+//! fencing) as ingest, and a standby that stops acknowledging is dropped
+//! at either bound — the ack deadline or the ship pipeline — without
+//! costing the agents a single frame.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use sbitmap_core::RateSchedule;
+use std::thread::JoinHandle;
+
 use sbitmap_daemon::{
     query_once, run_agent_rounds, run_agent_rounds_failover, run_loopback_replicated, AgentConfig,
     Backoff, Daemon, DaemonConfig,
@@ -100,12 +104,21 @@ impl Client {
                 config,
             }))
             .unwrap();
+        self.recv(Duration::from_secs(2))
+    }
+
+    fn send(&mut self, msg: &Message) {
+        self.reader.inner_mut().write_all(&encode(msg)).unwrap();
+    }
+
+    /// Next decoded message, waiting up to `limit`.
+    fn recv(&mut self, limit: Duration) -> Message {
         let start = Instant::now();
         loop {
             match self.reader.read_event() {
                 Ok(ReadEvent::Message(m)) => return m,
                 Ok(ReadEvent::TimedOut) => {
-                    assert!(start.elapsed() < Duration::from_secs(2), "no reply in 2s");
+                    assert!(start.elapsed() < limit, "no reply in {limit:?}");
                 }
                 other => panic!("unexpected read event: {other:?}"),
             }
@@ -113,23 +126,109 @@ impl Client {
     }
 }
 
+/// The standbys attached to the collector behind `query`, per `Status`.
+fn attached_peers(query: SocketAddr) -> u64 {
+    let stream = TcpStream::connect(query).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(10)))
+        .unwrap();
+    match query_once(stream, &QueryRequest::Status, Duration::from_secs(1)) {
+        Ok(Message::Reply(QueryReply::Status { peers, .. })) => peers,
+        other => panic!("expected a Status reply, got {other:?}"),
+    }
+}
+
 fn wait_for_peer(query: SocketAddr) {
     let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let stream = TcpStream::connect(query).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_millis(10)))
-            .unwrap();
-        if let Ok(Message::Reply(QueryReply::Status { peers, .. })) =
-            query_once(stream, &QueryRequest::Status, Duration::from_secs(1))
-        {
-            if peers >= 1 {
-                return;
-            }
-        }
+    while attached_peers(query) == 0 {
         assert!(Instant::now() < deadline, "standby never attached");
         std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+/// A standby that handshakes, reads its snapshot and every record, and
+/// never acknowledges one. The thread returns how many records it was
+/// shipped before the primary closed the session.
+fn mute_standby(primary: SocketAddr) -> JoinHandle<usize> {
+    // Like the real replication client, dial again when the primary
+    // closes the session before its snapshot.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut c = 'dial: loop {
+        assert!(Instant::now() < deadline, "no snapshot in 5 s");
+        let mut c = Client::connect(primary);
+        assert!(matches!(
+            c.hello(Role::Replicate, 0xEDD1, echo()),
+            Message::Welcome { .. }
+        ));
+        loop {
+            match c.reader.read_event() {
+                Ok(ReadEvent::Message(Message::ReplicateSnapshot { .. })) => break 'dial c,
+                Ok(ReadEvent::TimedOut) => assert!(Instant::now() < deadline, "no snapshot in 5 s"),
+                Ok(ReadEvent::Closed) | Err(_) => break,
+                other => panic!("expected the snapshot first, got {other:?}"),
+            }
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    std::thread::spawn(move || {
+        let start = Instant::now();
+        let mut records = 0;
+        loop {
+            match c.reader.read_event() {
+                Ok(ReadEvent::Message(Message::Replicate { seq, .. })) => {
+                    records += 1;
+                    assert_eq!(seq, records as u64, "wire seqs count up from 1");
+                }
+                Ok(ReadEvent::TimedOut) => assert!(
+                    start.elapsed() < Duration::from_secs(30),
+                    "the primary never dropped the mute standby"
+                ),
+                Ok(ReadEvent::Closed) | Err(_) => return records,
+                other => panic!("unexpected read event on the standby: {other:?}"),
+            }
+        }
+    })
+}
+
+/// Every v3 frame of `p`'s shard 0, as `agent`'s ingest messages in
+/// send order.
+fn shard0_batches(p: &WindowedPipelineConfig, agent: u64) -> Vec<Message> {
+    DeltaFrameSource::new(p, 0)
+        .unwrap()
+        .collect_epochs()
+        .into_iter()
+        .flat_map(|e| {
+            let epoch = e.epoch;
+            e.deltas
+                .into_iter()
+                .enumerate()
+                .map(move |(round, frame)| Message::BatchDelta {
+                    epoch,
+                    round: round as u32,
+                    agent,
+                    frame,
+                })
+        })
+        .collect()
+}
+
+/// Send every batch without waiting, then read one `Absorbed` ack per
+/// batch. Returns when the first ack arrived and when the last did, both
+/// measured from the first send.
+fn ship_all(c: &mut Client, batches: &[Message]) -> (Duration, Duration) {
+    let start = Instant::now();
+    for b in batches {
+        c.send(b);
+    }
+    let mut first = None;
+    for _ in batches {
+        match c.recv(Duration::from_secs(20)) {
+            Message::AckDelta { outcome, .. } => assert_eq!(outcome, AckOutcome::Absorbed),
+            other => panic!("expected AckDelta, got {other:?}"),
+        }
+        first.get_or_insert(start.elapsed());
+    }
+    (first.unwrap(), start.elapsed())
 }
 
 // ------------------------------------------------------------------- tests
@@ -394,4 +493,87 @@ fn replication_handshake_enforces_config_and_term_fences() {
     drop(c);
     primary.drain();
     primary.join().unwrap();
+}
+
+#[test]
+fn a_standby_that_never_acks_is_dropped_at_the_replication_deadline() {
+    let p = pcfg();
+    let timeout = Duration::from_millis(300);
+    let primary = Daemon::start(DaemonConfig {
+        replication_timeout: timeout,
+        ..daemon_cfg(&p)
+    })
+    .unwrap();
+    let standby = mute_standby(primary.ingest_addr());
+    wait_for_peer(primary.query_addr());
+
+    let batches = shard0_batches(&p, 1);
+    let mut agent = Client::connect(primary.ingest_addr());
+    assert!(matches!(
+        agent.hello(Role::Ingest, 1, echo()),
+        Message::Welcome { .. }
+    ));
+    let (first, _) = ship_all(&mut agent, &batches);
+    // Every ack waited for the standby until the deadline dropped it:
+    // none left earlier, and by the time one did the standby was gone.
+    assert!(
+        first >= timeout,
+        "an ack left {first:?} in, before the drop"
+    );
+    assert_eq!(attached_peers(primary.query_addr()), 0);
+    let records = standby.join().unwrap();
+    assert!(records >= 1, "the standby was never shipped a record");
+
+    drop(agent);
+    primary.drain();
+    let report = primary.join().unwrap();
+    assert_eq!(report.frames_absorbed, batches.len() as u64);
+    assert!(report.replica_drops >= 1, "the deadline never dropped it");
+    assert_eq!(report.replicated_frames, 0, "nothing was acknowledged");
+}
+
+#[test]
+fn a_standby_past_the_ship_pipeline_is_dropped_well_before_the_deadline() {
+    // The daemon's `REPL_PIPELINE`: records shipped to one standby and
+    // not yet acknowledged.
+    const REPL_PIPELINE: usize = 64;
+    let p = WindowedPipelineConfig {
+        epochs: 20,
+        rounds: 4,
+        ..pcfg()
+    };
+    let timeout = Duration::from_secs(30);
+    let primary = Daemon::start(DaemonConfig {
+        replication_timeout: timeout,
+        ..daemon_cfg(&p)
+    })
+    .unwrap();
+    let standby = mute_standby(primary.ingest_addr());
+    wait_for_peer(primary.query_addr());
+
+    let batches = shard0_batches(&p, 1);
+    assert!(batches.len() > REPL_PIPELINE);
+    let mut agent = Client::connect(primary.ingest_addr());
+    assert!(matches!(
+        agent.hello(Role::Ingest, 1, echo()),
+        Message::Welcome { .. }
+    ));
+    let (_, last) = ship_all(&mut agent, &batches);
+    assert!(
+        last < timeout / 6,
+        "acks took {last:?}: the pipeline bound never dropped the standby"
+    );
+    assert_eq!(attached_peers(primary.query_addr()), 0);
+    assert_eq!(
+        standby.join().unwrap(),
+        REPL_PIPELINE,
+        "the standby is shipped a full pipeline, then dropped"
+    );
+
+    drop(agent);
+    primary.drain();
+    let report = primary.join().unwrap();
+    assert_eq!(report.frames_absorbed, batches.len() as u64);
+    assert!(report.replica_drops >= 1);
+    assert_eq!(report.replicated_frames, 0, "nothing was acknowledged");
 }
