@@ -8,20 +8,24 @@
 //! 1, 2, 4, … node shards. Items/second counts the *flows ingested*, so
 //! the lanes are directly comparable to the ingest bench.
 //!
-//! The windowed lanes race the same sliding-window workload over both
-//! wire encodings at the same per-round cadence: `windowed_full` ships
-//! a full v2 checkpoint per round, `windowed_delta` ships the v3
-//! delta-chain frames. Before any timing, both pipelines run once and
-//! their per-link estimates, truths and quantile summaries must be
-//! **bit-identical** — the bench refuses to time a compressed lane that
-//! changes answers. The measured byte counts land in the report header
-//! (`bytes_on_wire_full` / `bytes_on_wire_v3` / `wire_reduction`);
-//! results serialize to `BENCH_collect.json`.
+//! The `windowed_delta` lane times the windowed deployment's wire path:
+//! every shard's v3 delta chain ([`DeltaFrameSource`]) is cut, decoded
+//! and OR-absorbed into one central ring. Before any timing that ring
+//! must be **bit-identical** to the codec-free reference
+//! [`run_windowed_pipeline`] — the bench refuses to time an encoding
+//! that changes answers. The uncompressed comparator is computed, not
+//! shipped: a tag-9 `sketch-fleet` checkpoint's length depends only on
+//! its key count and `m`, so a full checkpoint per shard per round
+//! costs `epochs × rounds × Σ_shards` one shard checkpoint's length.
+//! The byte counts land in the report header (`bytes_on_wire_full` /
+//! `bytes_on_wire_v3` / `wire_reduction`); results serialize to
+//! `BENCH_collect.json`.
 
+use sbitmap_core::codec::Checkpoint;
+use sbitmap_core::{AbsorbOutcome, FleetArena, FleetDeltaFrame, WindowedFleet};
 use sbitmap_stream::collector::{run_pipeline, PipelineConfig};
 use sbitmap_stream::{
-    run_windowed_pipeline_rounds, run_windowed_pipeline_v3, BackboneSnapshot,
-    WindowedPipelineConfig,
+    run_windowed_pipeline, BackboneSnapshot, DeltaFrameSource, WindowedPipelineConfig,
 };
 
 use crate::harness::{Bench, Measurement};
@@ -99,12 +103,13 @@ impl CollectConfig {
 /// Wire-cost figures from the windowed full-vs-delta comparison.
 #[derive(Debug, Clone)]
 pub struct WireStats {
-    /// Bytes shipped by the uncompressed lane (full v2 checkpoint per
-    /// round).
+    /// Bytes a full v2 checkpoint per shard per round would ship
+    /// (computed from the checkpoint length, which only the key count
+    /// and `m` set).
     pub bytes_full: usize,
-    /// Bytes shipped by the v3 delta lane at the same cadence.
+    /// Bytes the v3 delta chains shipped at the same cadence.
     pub bytes_v3: usize,
-    /// Frames each lane shipped (`shards × epochs × rounds`).
+    /// Frames on the wire (`shards × epochs × rounds`).
     pub frames: usize,
     /// `bytes_full / bytes_v3`.
     pub reduction: f64,
@@ -113,19 +118,67 @@ pub struct WireStats {
 /// Everything one collect-bench invocation produced.
 #[derive(Debug, Clone)]
 pub struct CollectRun {
-    /// Timed lanes: shard scaling plus the two windowed wire lanes.
+    /// Timed lanes: shard scaling plus the windowed delta lane.
     pub results: Vec<Measurement>,
     /// Byte counts from the verified full-vs-delta comparison.
     pub wire: WireStats,
 }
 
-/// Run the shard-scaling comparison and the windowed wire-cost lanes.
+/// Cut every shard's v3 delta chain and OR-absorb the chains into one
+/// ring in `(epoch, shard)` order. Returns the ring, the frames and the
+/// frame bytes shipped.
+fn absorb_chains(cfg: &WindowedPipelineConfig) -> (WindowedFleet, usize, usize) {
+    let chains: Vec<_> = (0..cfg.shards)
+        .map(|shard| {
+            DeltaFrameSource::new(cfg, shard)
+                .expect("windowed config")
+                .collect_epochs()
+        })
+        .collect();
+    let mut ring: WindowedFleet =
+        WindowedFleet::new(cfg.n_max, cfg.m_bits, cfg.seed, cfg.window).expect("windowed config");
+    let (mut frames, mut bytes) = (0, 0);
+    for epoch in 0..cfg.epochs {
+        ring.advance_to(epoch as u64).expect("epochs ascend");
+        for (shard, chain) in chains.iter().enumerate() {
+            for delta in &chain[epoch].deltas {
+                frames += 1;
+                bytes += delta.len();
+                let frame = FleetDeltaFrame::decode(delta).expect("own frame decodes");
+                let outcome = ring.absorb_delta_from(shard as u64, &frame);
+                assert_eq!(
+                    outcome.ok(),
+                    Some(AbsorbOutcome::Absorbed),
+                    "shard {shard} epoch {epoch}"
+                );
+            }
+        }
+    }
+    (ring, frames, bytes)
+}
+
+/// Bytes of one full v2 `sketch-fleet` checkpoint per shard, summed
+/// over the shards: what the uncompressed comparator ships per round.
+fn full_bytes_per_round(cfg: &WindowedPipelineConfig) -> usize {
+    (0..cfg.shards)
+        .map(|shard| {
+            let mut arena: FleetArena =
+                FleetArena::new(cfg.n_max, cfg.m_bits, cfg.seed).expect("windowed config");
+            for link in (shard..cfg.links).step_by(cfg.shards) {
+                arena.touch(link as u64);
+            }
+            arena.checkpoint().len()
+        })
+        .sum()
+}
+
+/// Run the shard-scaling comparison and the windowed wire-cost lane.
 ///
 /// # Panics
 ///
-/// If the v3 delta lane's estimates, truths or quantile summaries
-/// diverge from the uncompressed lane — the bench refuses to time an
-/// encoding that changes answers.
+/// If the delta chains' ring diverges from [`run_windowed_pipeline`] in
+/// any per-link estimate — the bench refuses to time an encoding that
+/// changes answers.
 pub fn run(cfg: &CollectConfig) -> CollectRun {
     let bench = Bench::with_budget_ms(cfg.budget_ms);
     // The flow total is a property of (links, seed): read it off the
@@ -146,45 +199,28 @@ pub fn run(cfg: &CollectConfig) -> CollectRun {
         shards *= 2;
     }
 
-    // Equivalence gate before timing the wire lanes.
+    // Equivalence gate before timing the wire lane.
     let wcfg = cfg.windowed();
-    let full = run_windowed_pipeline_rounds(&wcfg).expect("windowed full lane");
-    let v3 = run_windowed_pipeline_v3(&wcfg).expect("windowed delta lane");
-    for (f, d) in full.links.iter().zip(&v3.links) {
-        assert!(
-            f.link == d.link && f.truth == d.truth && f.estimate == d.estimate,
-            "refusing to benchmark: link {} diverges between full \
-             ({} / {}) and delta ({} / {}) lanes",
-            f.link,
-            f.truth,
-            f.estimate,
-            d.truth,
-            d.estimate
-        );
-    }
-    assert_eq!(
-        full.estimate_quantiles, v3.estimate_quantiles,
-        "refusing to benchmark: quantile summaries diverge between encodings"
+    let reference = run_windowed_pipeline(&wcfg).expect("windowed reference");
+    let (ring, frames, bytes_v3) = absorb_chains(&wcfg);
+    let expected: Vec<(u64, f64)> = reference
+        .links
+        .iter()
+        .map(|r| (r.link as u64, r.estimate))
+        .collect();
+    assert!(
+        ring.estimates() == expected,
+        "refusing to benchmark: the delta chains' ring diverges from the reference"
     );
-    assert_eq!(full.checkpoints, v3.checkpoints, "frame cadence mismatch");
+    let bytes_full = wcfg.epochs * wcfg.rounds * full_bytes_per_round(&wcfg);
     let wire = WireStats {
-        bytes_full: full.bytes_shipped,
-        bytes_v3: v3.bytes_shipped,
-        frames: v3.checkpoints,
-        reduction: full.bytes_shipped as f64 / (v3.bytes_shipped.max(1)) as f64,
+        bytes_full,
+        bytes_v3,
+        frames,
+        reduction: bytes_full as f64 / (bytes_v3.max(1)) as f64,
     };
 
-    let frames = wire.frames as u64;
-    results.push(bench.run("windowed_full", frames, || {
-        run_windowed_pipeline_rounds(&wcfg)
-            .expect("windowed full lane")
-            .checkpoints
-    }));
-    results.push(bench.run("windowed_delta", frames, || {
-        run_windowed_pipeline_v3(&wcfg)
-            .expect("windowed delta lane")
-            .checkpoints
-    }));
+    results.push(bench.run("windowed_delta", frames as u64, || absorb_chains(&wcfg).1));
     CollectRun { results, wire }
 }
 
@@ -241,15 +277,7 @@ mod tests {
         };
         let run = run(&cfg);
         let names: Vec<&str> = run.results.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "collect_s1",
-                "collect_s2",
-                "windowed_full",
-                "windowed_delta"
-            ]
-        );
+        assert_eq!(names, vec!["collect_s1", "collect_s2", "windowed_delta"]);
         assert!(run.results.iter().all(|m| m.items > 0));
         assert!(
             run.wire.bytes_v3 < run.wire.bytes_full,
@@ -264,5 +292,23 @@ mod tests {
         assert!(json.contains("bytes_on_wire_v3"));
         assert!(json.contains("wire_reduction"));
         assert!(json.contains("windowed_delta"));
+    }
+
+    #[test]
+    fn full_checkpoint_length_ignores_fill() {
+        // The computed comparator rests on this: a tag-9 checkpoint's
+        // length is set by its key count and `m`, not by its bits.
+        let keys = [2u64, 5, 9];
+        let mut arena: FleetArena = FleetArena::new(1_500_000, 8_000, 3).unwrap();
+        for key in keys {
+            arena.touch(key);
+        }
+        let empty = arena.checkpoint().len();
+        for key in keys {
+            let items: Vec<u64> = (0..key * 10_000).collect();
+            arena.insert_u64s(key, &items);
+        }
+        assert!(arena.fill(2).unwrap() > 0);
+        assert_eq!(arena.checkpoint().len(), empty);
     }
 }

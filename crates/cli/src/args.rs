@@ -55,9 +55,9 @@ pub struct Options {
     /// Wire rounds per epoch for the v3 delta lane
     /// (`bench-collect`/`agent`).
     pub rounds: usize,
-    /// `bench-collect` regression gate: fail unless the v3 delta lane
-    /// ships at least this many times fewer bytes than the same-cadence
-    /// full-frame lane.
+    /// `bench-collect` regression gate: fail unless the v3 delta chains
+    /// ship at least this many times fewer bytes than a full checkpoint
+    /// per round would.
     pub assert_min_wire_reduction: Option<f64>,
     /// `bench-window` regression gate: fail if W=8 windowed ingest costs
     /// more than this many times the plain arena per item.

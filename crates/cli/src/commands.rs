@@ -60,9 +60,10 @@ commands:
   collect    run the sharded node→collector pipeline on the synthetic
              backbone (paper §7.2) and print the aggregate summary
              flags: --links L --shards K --seed S
-  window     run the *windowed* pipeline: node shards ship one
-             checkpoint per epoch, the collector maintains a central
-             sliding-window ring and prints last-W-epochs estimates
+  window     run the *windowed* reference: every link's epoch items go
+             straight into one central sliding-window ring (the ring a
+             collector absorbing the agents' delta chains must hold),
+             then print last-W-epochs estimates
              flags: --links L --shards K --window W --epochs E --seed S
   serve      run the collector daemon: a TCP ingest listener and a query
              listener over a central sliding-window ring; type `drain`
@@ -83,10 +84,10 @@ commands:
              daemon: snapshot state, journal segments, record counts and
              any torn tail a crash left behind
              usage: recover DIR
-  agent      build one node shard's epoch frames (byte-identical to the
-             in-process pipeline's) and deliver them to a collector over
-             TCP, reconnecting with backed-off retries until every frame
-             is acked
+  agent      cut one node shard's per-epoch v3 delta chains (their
+             absorbed ring equals `window`'s) and deliver them to a
+             collector over TCP, reconnecting with backed-off retries
+             until every frame is acked
              flags: --connect HOST:PORT --links L --shards K --shard I
                     --window W --epochs E --seed S --deadline-ms MS
                     --agent-id ID (default shard + 1)
@@ -720,12 +721,6 @@ fn window_cmd(opts: &Options, out: &mut impl Write) -> Result<(), String> {
     )
     .map_err(io_err)?;
     let summary = run_windowed_pipeline(&cfg)?;
-    writeln!(
-        out,
-        "received {} epoch checkpoints, {} bytes shipped",
-        summary.checkpoints, summary.bytes_shipped
-    )
-    .map_err(io_err)?;
     writeln!(
         out,
         "sliding window: last {} epochs, per-link estimates: mean |rel err| = {:.2}%",
@@ -1754,7 +1749,6 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("9 links over 3 node shards"), "{out}");
-        assert!(out.contains("received 12 epoch checkpoints"), "{out}");
         assert!(out.contains("last 2 epochs"), "{out}");
         assert!(out.contains("quantile"), "{out}");
     }

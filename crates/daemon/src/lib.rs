@@ -34,7 +34,8 @@
 //! * [`loopback`] — the end-to-end harness: daemon + one agent per
 //!   shard on loopback TCP, used by the robustness property suites
 //!   (`tests/faults.rs`, `tests/replication.rs`) to lock the networked
-//!   pipeline **bit-identical** to the in-process
+//!   pipeline — delta codec, framing and TCP — **bit-identical** to the
+//!   codec-free reference ring of
 //!   [`sbitmap_stream::run_windowed_pipeline`].
 //!
 //! Fault injection lives in [`sbitmap_stream::fault`]: agents accept a

@@ -1,15 +1,13 @@
 //! End-to-end loopback harness: a daemon plus one TCP agent per shard,
-//! on `127.0.0.1`, fed the exact frames the in-process pipeline
-//! produces.
+//! on `127.0.0.1`, each shipping its shard's v3 delta chains.
 //!
 //! This is the bridge the robustness suites (`tests/faults.rs`,
 //! `tests/replication.rs`, `tests/lifecycle.rs`) stand on:
-//! [`sbitmap_stream::DeltaFrameSource`] generates each shard's v3
-//! round chains through the same code path as
-//! [`sbitmap_stream::run_windowed_pipeline_v3`]'s workers, so after a
-//! drain the daemon's ring must match the in-process collector
-//! **bit-for-bit** — estimates, fills and quantile summaries — no
-//! matter which [`FaultPlan`] mangled the transport along the way.
+//! [`sbitmap_stream::DeltaFrameSource`] cuts each shard's round chains,
+//! and after a drain the daemon's ring must match the codec-free
+//! reference [`sbitmap_stream::run_windowed_pipeline`] **bit-for-bit**
+//! — estimates, fills and quantile summaries — no matter which
+//! [`FaultPlan`] mangled the transport along the way.
 
 use std::net::TcpStream;
 use std::time::{Duration, Instant};

@@ -4,8 +4,9 @@
 //! drained collector is **bit-identical** to the fault-free run: same
 //! per-link window estimates (f64-exact), same ring checkpoint bytes.
 //!
-//! That in turn is locked against the in-process
-//! [`run_windowed_pipeline`], so the networked path reproduces the
+//! That in turn is locked against [`run_windowed_pipeline`], which
+//! inserts the raw items straight into one ring with no codec, so the
+//! networked path — delta codec, framing and TCP — reproduces the
 //! paper's §7.2 collector exactly, not approximately.
 
 use std::time::Duration;

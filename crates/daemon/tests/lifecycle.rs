@@ -6,14 +6,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sbitmap_core::codec::Checkpoint;
-use sbitmap_core::{FleetArena, FleetDeltaFrame, RateSchedule, WindowedFleet};
+use sbitmap_core::{AbsorbOutcome, FleetArena, FleetDeltaFrame, RateSchedule, WindowedFleet};
 use sbitmap_daemon::{
-    query_once, run_agent_rounds, run_loopback, AgentConfig, Daemon, DaemonConfig,
+    query_once, run_agent_rounds, run_loopback, AgentConfig, AgentReport, Daemon, DaemonConfig,
+    DaemonReport,
 };
 use sbitmap_hash::xxh64;
 use sbitmap_stream::net::{
     encode, AckOutcome, ConfigEcho, ErrorCode, FrameReader, Message, QueryReply, QueryRequest,
-    ReadEvent, Role, NET_MAGIC, PROTO_VERSION,
+    ReadEvent, Role, MAX_PAYLOAD, NET_MAGIC, PROTO_VERSION,
 };
 use sbitmap_stream::{
     quantile_summary, run_windowed_pipeline, DeltaFrameSource, WindowedPipelineConfig,
@@ -471,6 +472,60 @@ fn oversized_frame_before_hello_desyncs_and_welcomed_sessions_ship_full_frames()
 }
 
 #[test]
+fn oversized_frame_after_welcome_desyncs_and_leaves_the_ring_untouched() {
+    // A welcomed ingest session is held to `MAX_PAYLOAD`: a header
+    // declaring one byte more is a desync, answered and closed before
+    // anything is buffered, and the next session is still served.
+    let daemon = Daemon::start(dcfg()).unwrap();
+    let echo = daemon.config_echo();
+    let absorbed = |c: &mut Client| match c.recv() {
+        Message::AckDelta { outcome, .. } => assert_eq!(outcome, AckOutcome::Absorbed),
+        other => panic!("expected AckDelta, got {other:?}"),
+    };
+    let mut c = Client::connect(daemon.ingest_addr());
+    assert!(matches!(c.hello(1, echo), Message::Welcome { .. }));
+    c.send(&baseline(0, 1, &[4]));
+    absorbed(&mut c);
+    let mut header = encode(&baseline(0, 1, &[4]))[..NET_MAGIC.len() + 1].to_vec();
+    header.extend_from_slice(&(MAX_PAYLOAD as u32 + 1).to_le_bytes());
+    c.send_raw(&header);
+    match c.recv() {
+        Message::Error { code, .. } => assert_eq!(code, ErrorCode::Desync),
+        other => panic!("expected Desync error, got {other:?}"),
+    }
+    let start = Instant::now();
+    loop {
+        match c.reader.read_event() {
+            Ok(ReadEvent::Closed) | Err(_) => break,
+            Ok(ReadEvent::TimedOut) => {
+                assert!(start.elapsed() < Duration::from_secs(2), "socket left open");
+            }
+            other => panic!("expected the socket to close, got {other:?}"),
+        }
+    }
+    // A second session is still served.
+    let mut ok = Client::connect(daemon.ingest_addr());
+    assert!(matches!(ok.hello(2, echo), Message::Welcome { .. }));
+    ok.send(&baseline(0, 2, &[9]));
+    absorbed(&mut ok);
+    drop(ok);
+    daemon.drain();
+    let report = daemon.join().unwrap();
+    assert_eq!(report.desyncs, 1);
+    assert_eq!(report.bad_frames, 0);
+    assert_eq!(report.frames_absorbed, 2);
+
+    // The ring holds the two absorbed frames and nothing else.
+    let cfg = dcfg();
+    let schedule = Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).unwrap());
+    let mut expected: WindowedFleet =
+        WindowedFleet::with_schedule(schedule, cfg.seed, cfg.window).unwrap();
+    assert!(expected.absorb_epoch(0, &test_fleet(&[4, 9])).unwrap());
+    assert_eq!(report.estimates, expected.estimates());
+    assert_eq!(report.final_checkpoint, expected.checkpoint());
+}
+
+#[test]
 fn duplicate_frames_are_acked_duplicate_and_change_nothing() {
     let daemon = Daemon::start(dcfg()).unwrap();
     let echo = daemon.config_echo();
@@ -790,6 +845,99 @@ fn agent_backs_off_on_busy_and_still_delivers_everything() {
     );
 }
 
+/// Ship `pcfg`'s shard-0 backlog through an agent capped at `cap`
+/// frames whose first two connection attempts fail, so the cap is
+/// enforced before anything is sent. Returns the agent's report and
+/// the drained collector's report.
+fn ship_capped(pcfg: &WindowedPipelineConfig, cap: usize) -> (AgentReport, DaemonReport) {
+    let daemon = Daemon::start(dcfg()).unwrap();
+    let ingest = daemon.ingest_addr();
+    let (backlog, _) = shard0_backlog(pcfg);
+    let acfg = AgentConfig {
+        buffer_cap: cap,
+        ..AgentConfig::new(1, daemon.config_echo())
+    };
+    let report = run_agent_rounds(&acfg, backlog, |attempt| {
+        if attempt < 2 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::ConnectionRefused,
+                "collector away",
+            ));
+        }
+        let s = TcpStream::connect(ingest)?;
+        s.set_read_timeout(Some(Duration::from_millis(10)))?;
+        Ok(s)
+    })
+    .unwrap();
+    daemon.drain();
+    (report, daemon.join().unwrap())
+}
+
+/// A ring that absorbed epochs `from..` of `pcfg`'s shard-0 chains in
+/// process.
+fn chain_ring(pcfg: &WindowedPipelineConfig, from: u64) -> WindowedFleet {
+    let cfg = dcfg();
+    let schedule = Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).unwrap());
+    let mut ring: WindowedFleet =
+        WindowedFleet::with_schedule(schedule, cfg.seed, cfg.window).unwrap();
+    for ef in shard0_backlog(pcfg).0.iter().filter(|ef| ef.epoch >= from) {
+        ring.advance_to(ef.epoch).unwrap();
+        for delta in &ef.deltas {
+            let frame = FleetDeltaFrame::decode(delta).unwrap();
+            assert_eq!(
+                ring.absorb_delta_from(1, &frame).unwrap(),
+                AbsorbOutcome::Absorbed
+            );
+        }
+    }
+    ring
+}
+
+#[test]
+fn buffer_cap_on_an_epoch_boundary_keeps_the_newest_epochs() {
+    let pcfg = WindowedPipelineConfig {
+        shards: 1,
+        ..pcfg()
+    };
+    let (_, total) = shard0_backlog(&pcfg);
+    let keep = 2;
+    let cap = pcfg.rounds * keep;
+    let (report, collector) = ship_capped(&pcfg, cap);
+    assert_eq!(report.dropped as usize, total - cap);
+    assert_eq!(
+        report.frames_acked as usize, cap,
+        "every kept frame is acked"
+    );
+    assert_eq!(report.baseline_resyncs, 0, "no chain was cut");
+    assert_eq!(collector.frames_absorbed as usize, cap);
+    let expected = chain_ring(&pcfg, (pcfg.epochs - keep) as u64);
+    assert_eq!(collector.estimates, expected.estimates());
+    assert_eq!(collector.final_checkpoint, expected.checkpoint());
+}
+
+#[test]
+fn buffer_cap_mid_epoch_resends_the_cut_epoch_from_its_baseline() {
+    let pcfg = WindowedPipelineConfig {
+        shards: 1,
+        ..pcfg()
+    };
+    let (_, total) = shard0_backlog(&pcfg);
+    // One round of the oldest kept epoch survives without its baseline.
+    let cap = pcfg.rounds * 2 + 1;
+    let (report, collector) = ship_capped(&pcfg, cap);
+    assert_eq!(report.dropped as usize, total - cap);
+    assert_eq!(report.frames_acked as usize, cap);
+    assert!(
+        report.baseline_resyncs >= 1,
+        "the cut epoch is re-sent from its retained baseline"
+    );
+    assert!(collector.missing_baselines >= 1);
+    // The cut epoch is whole again, so the ring holds the newest three.
+    let expected = chain_ring(&pcfg, (pcfg.epochs - 3) as u64);
+    assert_eq!(collector.estimates, expected.estimates());
+    assert_eq!(collector.final_checkpoint, expected.checkpoint());
+}
+
 #[test]
 fn graceful_drain_checkpoint_matches_the_uninterrupted_pipeline() {
     let pcfg = pcfg();
@@ -804,7 +952,7 @@ fn graceful_drain_checkpoint_matches_the_uninterrupted_pipeline() {
     )
     .unwrap();
 
-    // The ring the daemon drained equals the in-process pipeline's.
+    // The ring the daemon drained equals the codec-free reference.
     let reference = run_windowed_pipeline(&pcfg).unwrap();
     let expected: Vec<(u64, f64)> = reference
         .links
@@ -832,17 +980,9 @@ fn query_port_answers_every_kind_and_drains() {
     let echo = daemon.config_echo();
     let (backlog, frames) = shard0_backlog(&pcfg);
 
-    // Build the expected ring locally from each epoch's final full
-    // checkpoint: the delta chains the agent ships must land on it.
-    let cfg = dcfg();
-    let schedule = Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).unwrap());
-    let mut expected: WindowedFleet =
-        WindowedFleet::with_schedule(schedule, cfg.seed, cfg.window).unwrap();
-    for ef in &backlog {
-        let fleet: FleetArena = Checkpoint::restore(ef.fulls.last().unwrap()).unwrap();
-        expected.advance_to(ef.epoch).unwrap();
-        assert!(expected.absorb_epoch(ef.epoch, &fleet).unwrap());
-    }
+    // Build the expected ring locally by absorbing the same delta
+    // chains in process: what the agent ships over TCP must land on it.
+    let expected = chain_ring(&pcfg, 0);
 
     let ingest = daemon.ingest_addr();
     let report = run_agent_rounds(&AgentConfig::new(1, echo), backlog, |_| {

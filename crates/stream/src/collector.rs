@@ -28,6 +28,11 @@
 //! end-to-end exercises encode → frame → checksum → decode → merge, which
 //! is exactly what a networked deployment would do with TCP in the
 //! middle.
+//!
+//! The windowed half serves the deployment `sbitmap-daemon` runs:
+//! [`DeltaFrameSource`] cuts one node shard's per-epoch v3 delta chains
+//! (what an agent ships), and [`run_windowed_pipeline`] is the
+//! codec-free reference ring those chains must reassemble.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -35,8 +40,8 @@ use std::sync::Arc;
 use sbitmap_baselines::HyperLogLog;
 use sbitmap_core::codec::Checkpoint;
 use sbitmap_core::{
-    AbsorbOutcome, BatchedCounter, DistinctCounter, FleetArena, FleetDeltaFrame, KeyedEstimates,
-    MergeableCounter, RateSchedule, SBitmap, WindowedFleet,
+    BatchedCounter, DistinctCounter, FleetArena, FleetDeltaFrame, KeyedEstimates, MergeableCounter,
+    RateSchedule, SBitmap, WindowedFleet,
 };
 
 use crate::backbone::BackboneSnapshot;
@@ -294,7 +299,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> Result<CollectSummary, String> {
 }
 
 // ---------------------------------------------------------------------
-// The windowed pipeline: per-epoch checkpoints, a central window ring
+// The windowed deployment: per-epoch delta chains, a central window ring
 // ---------------------------------------------------------------------
 
 /// Configuration for one windowed pipeline run.
@@ -302,7 +307,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> Result<CollectSummary, String> {
 pub struct WindowedPipelineConfig {
     /// Number of backbone links.
     pub links: usize,
-    /// Node shards (worker threads); links are dealt round-robin.
+    /// Node shards (agents); links are dealt round-robin.
     pub shards: usize,
     /// Per-link S-bitmap range `[1, n_max]` — size for the *window's*
     /// cardinality, as [`WindowedFleet::new`] advises.
@@ -314,13 +319,10 @@ pub struct WindowedPipelineConfig {
     /// Epochs the run simulates; the final summary covers the last
     /// `min(window, epochs)` of them.
     pub epochs: usize,
-    /// Wire rounds per epoch for the delta-coded (v3) lanes: each epoch
-    /// is shipped as one round-0 baseline plus `rounds − 1` newly-set-bit
-    /// delta frames, against an uncompressed comparator shipping one
-    /// *full* frame per round at the same cadence. Purely a wire
-    /// granularity knob — per-link sketch state and estimates are
-    /// independent of it, and [`run_windowed_pipeline`] (the legacy
-    /// one-full-frame-per-epoch lane) ignores it.
+    /// Wire rounds per epoch: each shard ships an epoch as one round-0
+    /// baseline plus `rounds − 1` newly-set-bit delta frames
+    /// ([`DeltaFrameSource`]). Purely a wire granularity knob — per-link
+    /// sketch state and estimates are independent of it.
     pub rounds: usize,
     /// Workload + sketch seed.
     pub seed: u64,
@@ -353,139 +355,32 @@ impl WindowedPipelineConfig {
     fn live_epochs(&self) -> usize {
         self.window.min(self.epochs)
     }
-}
 
-/// Build one shard's arena for one epoch: clear it, then for each of the
-/// shard's round-robin links refill the flow scratch from the epoch
-/// substream and insert. This is the **single definition** both
-/// `run_windowed_pipeline`'s node workers and [`ShardFrameSource`]
-/// (hence the networked node agent of `sbitmap-daemon`) run, so the two
-/// can only ever ship identical frame bytes.
-fn fill_shard_epoch(
-    cfg: &WindowedPipelineConfig,
-    snapshot: &BackboneSnapshot,
-    shard: usize,
-    epoch: usize,
-    fleet: &mut FleetArena,
-    flows: &mut Vec<u64>,
-) {
-    fleet.clear();
-    for link in (shard..cfg.links).step_by(cfg.shards) {
-        flows.clear();
-        flows.extend(snapshot.link_epoch_stream(
-            link,
-            epoch as u64,
-            cfg.epoch_flows(snapshot.counts()[link]),
-        ));
-        fleet.touch(link as u64);
-        fleet.insert_u64s(link as u64, flows);
-    }
-}
-
-/// A deterministic builder of one node shard's per-epoch `sketch-fleet`
-/// frames — byte-for-byte the frames the in-process windowed pipeline
-/// ships over its channel. A networked node agent (the `sbitmap agent`
-/// subcommand) replays these same bytes over TCP, which is what lets the
-/// loopback daemon pipeline be locked bit-identical to
-/// [`run_windowed_pipeline`] rather than merely statistically close.
-#[derive(Debug)]
-pub struct ShardFrameSource {
-    cfg: WindowedPipelineConfig,
-    snapshot: BackboneSnapshot,
-    shard: usize,
-    fleet: FleetArena,
-    flows: Vec<u64>,
-    next_epoch: usize,
-}
-
-impl ShardFrameSource {
-    /// Create the frame source for `shard` of `cfg.shards`.
-    ///
-    /// # Errors
-    ///
-    /// Zero links/shards/window/epochs, a shard index out of range, or
-    /// un-dimensionable sketch parameters.
-    pub fn new(cfg: &WindowedPipelineConfig, shard: usize) -> Result<Self, String> {
-        if cfg.links == 0 || cfg.shards == 0 {
+    /// Reject a configuration no windowed run can use, and build the
+    /// schedule its sketches share.
+    fn validate(&self) -> Result<Arc<RateSchedule>, String> {
+        if self.links == 0 || self.shards == 0 {
             return Err("links and shards must be at least 1".into());
         }
-        if cfg.window == 0 || cfg.epochs == 0 {
+        if self.window == 0 || self.epochs == 0 {
             return Err("window and epochs must be at least 1".into());
         }
-        if shard >= cfg.shards {
-            return Err(format!(
-                "shard {shard} out of range ({} shards)",
-                cfg.shards
-            ));
+        if self.rounds == 0 {
+            return Err("rounds must be at least 1".into());
         }
-        let schedule =
-            Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).map_err(|e| e.to_string())?);
-        let snapshot = BackboneSnapshot::with_links(cfg.links, cfg.seed);
-        let flows = Vec::with_capacity(
-            (shard..cfg.links)
-                .step_by(cfg.shards)
-                .map(|link| cfg.epoch_flows(snapshot.counts()[link]) as usize)
-                .max()
-                .unwrap_or(0),
-        );
-        Ok(Self {
-            cfg: cfg.clone(),
-            snapshot,
-            shard,
-            fleet: FleetArena::with_schedule(schedule, cfg.seed),
-            flows,
-            next_epoch: 0,
-        })
-    }
-
-    /// The shard this source builds frames for.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Build the next epoch's `(epoch, frame bytes)`; `None` once every
-    /// configured epoch has been built.
-    pub fn next_frame(&mut self) -> Option<(u64, Vec<u8>)> {
-        if self.next_epoch >= self.cfg.epochs {
-            return None;
-        }
-        let epoch = self.next_epoch;
-        fill_shard_epoch(
-            &self.cfg,
-            &self.snapshot,
-            self.shard,
-            epoch,
-            &mut self.fleet,
-            &mut self.flows,
-        );
-        self.next_epoch += 1;
-        Some((epoch as u64, self.fleet.checkpoint()))
-    }
-
-    /// Build every remaining frame at once — the backlog a node agent
-    /// loads before dialing the collector.
-    pub fn collect_frames(mut self) -> Vec<(u64, Vec<u8>)> {
-        let mut out = Vec::with_capacity(self.cfg.epochs.saturating_sub(self.next_epoch));
-        while let Some(f) = self.next_frame() {
-            out.push(f);
-        }
-        out
+        RateSchedule::from_memory(self.n_max, self.m_bits)
+            .map(Arc::new)
+            .map_err(|e| e.to_string())
     }
 }
 
-/// One epoch's wire output from a [`DeltaFrameSource`]: the shard's
-/// per-link state coded both ways at the same `rounds`-per-epoch cadence,
-/// so the compressed and uncompressed lanes carry the *same* information
-/// and any divergence in the resulting estimates is a codec bug, not a
-/// sampling artifact.
+/// One epoch's wire output from a [`DeltaFrameSource`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochFrames {
     /// Epoch the frames describe.
     pub epoch: u64,
-    /// One full v2 `sketch-fleet` checkpoint per round — the uncompressed
-    /// same-cadence comparator lane. Round `r` snapshots the shard after
-    /// the first `r + 1` stream chunks, so the last entry is
-    /// byte-identical to the [`ShardFrameSource`] frame for this epoch.
+    /// Always empty, and read by nothing. The field stays only so that
+    /// code building `EpochFrames` by field keeps compiling.
     pub fulls: Vec<Vec<u8>>,
     /// One v3 `fleet-delta` frame per round. Round 0 is the baseline
     /// reset — a record for *every* shard link, even still-empty ones,
@@ -494,16 +389,15 @@ pub struct EpochFrames {
     pub deltas: Vec<Vec<u8>>,
 }
 
-/// A deterministic builder of one node shard's per-epoch **round**
-/// frames: the incremental v3 `fleet-delta` chain plus the same-cadence
-/// full-frame comparator. Each epoch's per-link substream is split into
+/// A deterministic builder of one node shard's per-epoch v3
+/// `fleet-delta` chains. Each epoch's per-link substream is split into
 /// `cfg.rounds` contiguous chunks; after inserting chunk `r` the source
 /// cuts one delta frame (XOR against the previous round's bitmap words —
 /// which, because bits are only ever *set* within an epoch, is exactly
-/// the newly-set bits) and one full checkpoint. Because the chunks
-/// preserve per-key insertion order, the final round's state is
-/// bit-identical to [`ShardFrameSource`]'s epoch frame, and OR-absorbing
-/// the delta chain reassembles it exactly.
+/// the newly-set bits). Because the chunks preserve per-key insertion
+/// order, the final round's state is the shard's whole epoch, and
+/// OR-absorbing every shard's chain reassembles exactly the ring
+/// [`run_windowed_pipeline`] builds.
 #[derive(Debug)]
 pub struct DeltaFrameSource {
     cfg: WindowedPipelineConfig,
@@ -530,21 +424,24 @@ impl DeltaFrameSource {
     /// Zero links/shards/window/epochs/rounds, a shard index out of
     /// range, or un-dimensionable sketch parameters.
     pub fn new(cfg: &WindowedPipelineConfig, shard: usize) -> Result<Self, String> {
-        if cfg.rounds == 0 {
-            return Err("rounds must be at least 1".into());
+        let schedule = cfg.validate()?;
+        if shard >= cfg.shards {
+            return Err(format!(
+                "shard {shard} out of range ({} shards)",
+                cfg.shards
+            ));
         }
-        let base = ShardFrameSource::new(cfg, shard)?;
         let links: Vec<u64> = (shard..cfg.links)
             .step_by(cfg.shards)
             .map(|l| l as u64)
             .collect();
-        let stride = base.fleet.schedule().dims().m().div_ceil(64);
+        let stride = schedule.dims().m().div_ceil(64);
         let prev = vec![vec![0u64; stride]; links.len()];
         Ok(Self {
-            cfg: base.cfg,
-            snapshot: base.snapshot,
+            cfg: cfg.clone(),
+            snapshot: BackboneSnapshot::with_links(cfg.links, cfg.seed),
             shard,
-            fleet: base.fleet,
+            fleet: FleetArena::with_schedule(schedule, cfg.seed),
             links,
             prev,
             flows: Vec::new(),
@@ -571,8 +468,8 @@ impl DeltaFrameSource {
             prev.fill(0);
         }
         // Generate each link's epoch substream exactly once — the same
-        // stream `fill_shard_epoch` feeds in one go — and remember the
-        // per-link extents so each round can take its chunk.
+        // stream `run_windowed_pipeline` inserts in one go — and remember
+        // the per-link extents so each round can take its chunk.
         self.flows.clear();
         self.ranges.clear();
         for &link in &self.links {
@@ -587,7 +484,6 @@ impl DeltaFrameSource {
         let schedule = self.fleet.schedule().clone();
         let dims = schedule.dims();
         let mut scratch = vec![0u64; dims.m().div_ceil(64)];
-        let mut fulls = Vec::with_capacity(rounds);
         let mut deltas = Vec::with_capacity(rounds);
         for round in 0..rounds {
             for (idx, &link) in self.links.iter().enumerate() {
@@ -620,18 +516,17 @@ impl DeltaFrameSource {
                 }
             }
             deltas.push(frame.encode());
-            fulls.push(self.fleet.checkpoint());
         }
         self.next_epoch += 1;
         Some(EpochFrames {
             epoch,
-            fulls,
+            fulls: Vec::new(),
             deltas,
         })
     }
 
     /// Build every remaining epoch's round frames at once — the backlog
-    /// a delta-capable node agent loads before dialing the collector.
+    /// a node agent loads before dialing the collector.
     pub fn collect_epochs(mut self) -> Vec<EpochFrames> {
         let mut out = Vec::with_capacity(self.cfg.epochs.saturating_sub(self.next_epoch));
         while let Some(f) = self.next_frames() {
@@ -653,25 +548,17 @@ pub struct WindowedLinkReport {
     pub estimate: f64,
 }
 
-/// The windowed collector's aggregate output.
+/// The windowed reference's aggregate output.
 #[derive(Debug, Clone)]
 pub struct WindowedSummary {
     /// Per-link windowed reports, sorted by link index.
     pub links: Vec<WindowedLinkReport>,
-    /// Node shards that ran.
-    pub shards: usize,
     /// The window span, in epochs.
     pub window: usize,
     /// Epochs simulated.
     pub epochs: usize,
     /// Epochs contributing to the final window (`min(window, epochs)`).
     pub live_epochs: usize,
-    /// Frames received and verified: one per shard per epoch for
-    /// [`run_windowed_pipeline`], one per shard per epoch per *round* for
-    /// the same-cadence runners.
-    pub checkpoints: usize,
-    /// Total checkpoint bytes that crossed the channel.
-    pub bytes_shipped: usize,
     /// Mean absolute relative error of the windowed estimates.
     pub mean_abs_rel_err: f64,
     /// Quantiles of the per-link windowed estimates at
@@ -679,295 +566,69 @@ pub struct WindowedSummary {
     pub estimate_quantiles: Vec<(f64, f64)>,
 }
 
-/// Run the windowed node → collector pipeline end-to-end.
+/// The windowed node → collector deployment's codec-free reference.
 ///
-/// Each node shard rebuilds a fresh per-epoch [`FleetArena`] for its
-/// links, ships it as one v2 `sketch-fleet` checkpoint per epoch, and
-/// the **collector maintains the ring**: a central [`WindowedFleet`]
-/// absorbs every shard's epoch frame (shard key sets are disjoint, so
-/// the storage-level union reassembles exactly the state a single node
-/// would have built), rotating as epochs complete. Frames are replayed
-/// in `(epoch, shard)` order, so the summary is a pure function of the
-/// configuration — per-link windowed estimates are identical for any
-/// shard count, which `tests/windowed_fleet.rs` locks in.
+/// Epoch by epoch, the central [`WindowedFleet`] advances to the epoch
+/// and every link's epoch substream is inserted straight into it: no
+/// frames, codec, channel or threads. Shard key sets are disjoint and a
+/// sketch only sets bits within an epoch, so a collector OR-absorbing
+/// every shard's [`DeltaFrameSource`] chain lands on exactly this ring,
+/// for any shard count and round split. `tests/windowed_fleet.rs` and
+/// the daemon suites hold the in-process and networked chain paths to
+/// this summary bit for bit.
 ///
 /// # Errors
 ///
-/// Invalid configuration (zero links/shards/window/epochs,
-/// un-dimensionable sketch parameters) or a checkpoint that fails
-/// verification at the collector.
+/// Invalid configuration: zero links/shards/window/epochs/rounds, or
+/// un-dimensionable sketch parameters.
 pub fn run_windowed_pipeline(cfg: &WindowedPipelineConfig) -> Result<WindowedSummary, String> {
-    if cfg.links == 0 || cfg.shards == 0 {
-        return Err("links and shards must be at least 1".into());
-    }
-    if cfg.window == 0 || cfg.epochs == 0 {
-        return Err("window and epochs must be at least 1".into());
-    }
-    let schedule =
-        Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).map_err(|e| e.to_string())?);
+    let schedule = cfg.validate()?;
     let snapshot = BackboneSnapshot::with_links(cfg.links, cfg.seed);
-    let (tx, rx) = mpsc::channel::<(usize, usize, Vec<u8>)>();
-
-    std::thread::scope(|scope| -> Result<WindowedSummary, String> {
-        // --- node shards: one epoch fleet, rebuilt (cleared) per epoch ---
-        for shard in 0..cfg.shards {
-            let tx = tx.clone();
-            let snapshot = &snapshot;
-            let schedule = schedule.clone();
-            scope.spawn(move || {
-                let mut fleet: FleetArena = FleetArena::with_schedule(schedule, cfg.seed);
-                // Same scratch policy as `run_pipeline`: one buffer per
-                // worker, pre-sized to the shard's largest per-epoch
-                // substream so the fill loop never reallocates.
-                let mut flows: Vec<u64> = Vec::with_capacity(
-                    (shard..cfg.links)
-                        .step_by(cfg.shards)
-                        .map(|link| cfg.epoch_flows(snapshot.counts()[link]) as usize)
-                        .max()
-                        .unwrap_or(0),
-                );
-                for epoch in 0..cfg.epochs {
-                    fill_shard_epoch(cfg, snapshot, shard, epoch, &mut fleet, &mut flows);
-                    if tx.send((epoch, shard, fleet.checkpoint())).is_err() {
-                        return; // collector gone; stop measuring
-                    }
-                }
-            });
-        }
-        drop(tx);
-
-        // --- collector: buffer, order by (epoch, shard), replay into the
-        // ring. Ordering makes the run deterministic; with disjoint
-        // per-shard key sets the absorb order cannot change state, but a
-        // reproducible byte stream is worth one sort. ---
-        let mut frames: Vec<(usize, usize, Vec<u8>)> = rx.iter().collect();
-        frames.sort_by_key(|&(epoch, shard, _)| (epoch, shard));
-        if frames.len() != cfg.epochs * cfg.shards {
-            return Err(format!(
-                "collector saw {} of {} epoch frames",
-                frames.len(),
-                cfg.epochs * cfg.shards
+    let mut ring: WindowedFleet =
+        WindowedFleet::with_schedule(schedule, cfg.seed, cfg.window).map_err(|e| e.to_string())?;
+    let mut flows: Vec<u64> = Vec::new();
+    for epoch in 0..cfg.epochs as u64 {
+        ring.advance_to(epoch).map_err(|e| e.to_string())?;
+        for link in 0..cfg.links {
+            flows.clear();
+            flows.extend(snapshot.link_epoch_stream(
+                link,
+                epoch,
+                cfg.epoch_flows(snapshot.counts()[link]),
             ));
+            ring.touch(link as u64);
+            ring.insert_u64s(link as u64, &flows);
         }
-        let mut ring: WindowedFleet = WindowedFleet::with_schedule(schedule, cfg.seed, cfg.window)
-            .map_err(|e| e.to_string())?;
-        let mut checkpoints = 0usize;
-        let mut bytes_shipped = 0usize;
-        for (epoch, shard, bytes) in &frames {
-            bytes_shipped += bytes.len();
-            checkpoints += 1;
-            let fleet: FleetArena = Checkpoint::restore(bytes)
-                .map_err(|e| format!("shard {shard} epoch {epoch}: {e}"))?;
-            ring.advance_to(*epoch as u64).map_err(|e| e.to_string())?;
-            if !ring
-                .absorb_epoch(*epoch as u64, &fleet)
-                .map_err(|e| format!("shard {shard} epoch {epoch}: {e}"))?
-            {
-                return Err(format!("shard {shard} epoch {epoch}: frame expired"));
+    }
+
+    // --- the §7.2 summary, now over the sliding window ---
+    let live = cfg.live_epochs() as u64;
+    let links: Vec<WindowedLinkReport> = ring
+        .estimates_sorted()
+        .into_iter()
+        .map(|(key, estimate)| {
+            let link = key as usize;
+            WindowedLinkReport {
+                link,
+                truth: live * cfg.epoch_flows(snapshot.counts()[link]),
+                estimate,
             }
-        }
-
-        // --- the §7.2 summary, now over the sliding window ---
-        let live = cfg.live_epochs() as u64;
-        let links: Vec<WindowedLinkReport> = ring
-            .estimates_sorted()
-            .into_iter()
-            .map(|(key, estimate)| {
-                let link = key as usize;
-                WindowedLinkReport {
-                    link,
-                    truth: live * cfg.epoch_flows(snapshot.counts()[link]),
-                    estimate,
-                }
-            })
-            .collect();
-        if links.len() != cfg.links {
-            return Err(format!("ring holds {} of {} links", links.len(), cfg.links));
-        }
-        let mean_abs_rel_err = links
-            .iter()
-            .map(|r| (r.estimate / r.truth as f64 - 1.0).abs())
-            .sum::<f64>()
-            / links.len() as f64;
-        let mut sorted: Vec<f64> = links.iter().map(|r| r.estimate).collect();
-        let estimate_quantiles = quantile_summary(&mut sorted);
-        Ok(WindowedSummary {
-            links,
-            shards: cfg.shards,
-            window: cfg.window,
-            epochs: cfg.epochs,
-            live_epochs: cfg.live_epochs(),
-            checkpoints,
-            bytes_shipped,
-            mean_abs_rel_err,
-            estimate_quantiles,
         })
-    })
-}
-
-/// Run the windowed pipeline shipping the compressed **v3 delta lane**:
-/// each shard sends `cfg.rounds` incremental `fleet-delta` frames per
-/// epoch (round 0 = baseline reset), and the collector OR-absorbs them
-/// into the ring via [`WindowedFleet::absorb_delta_from`] — no full-frame
-/// materialization. Because bits are only ever *set* within an epoch, the
-/// absorbed chain converges to exactly the state the full-frame lanes
-/// build, so estimates and quantiles are bit-identical to
-/// [`run_windowed_pipeline`] while `bytes_shipped` counts only the delta
-/// frames.
-///
-/// # Errors
-///
-/// As [`run_windowed_pipeline`], plus zero `rounds` and any delta frame
-/// the ring rejects (duplicate, expired, or broken baseline chain —
-/// impossible on this lossless in-process channel, so an error indicates
-/// a codec bug).
-pub fn run_windowed_pipeline_v3(cfg: &WindowedPipelineConfig) -> Result<WindowedSummary, String> {
-    run_windowed_rounds(cfg, true)
-}
-
-/// Run the windowed pipeline shipping the **uncompressed same-cadence
-/// comparator lane**: one full v2 `sketch-fleet` checkpoint per round —
-/// the same update granularity as [`run_windowed_pipeline_v3`], coded
-/// without deltas. This is the honest baseline for wire-reduction
-/// claims: it ships exactly the information of the v3 lane, at the same
-/// frame cadence, so `bytes_shipped(full) / bytes_shipped(v3)` measures
-/// the coding, not a cadence difference.
-///
-/// # Errors
-///
-/// As [`run_windowed_pipeline`], plus zero `rounds`.
-pub fn run_windowed_pipeline_rounds(
-    cfg: &WindowedPipelineConfig,
-) -> Result<WindowedSummary, String> {
-    run_windowed_rounds(cfg, false)
-}
-
-/// Shared body of the two same-cadence runners: node workers drain a
-/// [`DeltaFrameSource`] each (so the bytes are exactly what a networked
-/// delta-capable agent would ship), the collector absorbs the selected
-/// lane in `(epoch, shard)` order, and only that lane's bytes count as
-/// shipped.
-fn run_windowed_rounds(
-    cfg: &WindowedPipelineConfig,
-    compressed: bool,
-) -> Result<WindowedSummary, String> {
-    if cfg.links == 0 || cfg.shards == 0 {
-        return Err("links and shards must be at least 1".into());
-    }
-    if cfg.window == 0 || cfg.epochs == 0 {
-        return Err("window and epochs must be at least 1".into());
-    }
-    if cfg.rounds == 0 {
-        return Err("rounds must be at least 1".into());
-    }
-    let schedule =
-        Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).map_err(|e| e.to_string())?);
-    let snapshot = BackboneSnapshot::with_links(cfg.links, cfg.seed);
-    let (tx, rx) = mpsc::channel::<(usize, EpochFrames)>();
-
-    std::thread::scope(|scope| -> Result<WindowedSummary, String> {
-        for shard in 0..cfg.shards {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let mut source =
-                    DeltaFrameSource::new(cfg, shard).expect("config validated before spawn");
-                while let Some(frames) = source.next_frames() {
-                    if tx.send((shard, frames)).is_err() {
-                        return; // collector gone; stop measuring
-                    }
-                }
-            });
-        }
-        drop(tx);
-
-        let mut frames: Vec<(usize, EpochFrames)> = rx.iter().collect();
-        frames.sort_by_key(|(shard, f)| (f.epoch, *shard));
-        if frames.len() != cfg.epochs * cfg.shards {
-            return Err(format!(
-                "collector saw {} of {} epoch frame sets",
-                frames.len(),
-                cfg.epochs * cfg.shards
-            ));
-        }
-        let mut ring: WindowedFleet = WindowedFleet::with_schedule(schedule, cfg.seed, cfg.window)
-            .map_err(|e| e.to_string())?;
-        let mut checkpoints = 0usize;
-        let mut bytes_shipped = 0usize;
-        for (shard, ef) in &frames {
-            let epoch = ef.epoch;
-            ring.advance_to(epoch).map_err(|e| e.to_string())?;
-            if compressed {
-                for bytes in &ef.deltas {
-                    bytes_shipped += bytes.len();
-                    checkpoints += 1;
-                    let frame = FleetDeltaFrame::decode(bytes)
-                        .map_err(|e| format!("shard {shard} epoch {epoch}: {e}"))?;
-                    let round = frame.round;
-                    match ring.absorb_delta_from(*shard as u64, &frame) {
-                        Ok(AbsorbOutcome::Absorbed) => {}
-                        Ok(other) => {
-                            return Err(format!(
-                                "shard {shard} epoch {epoch} round {round}: frame {other:?} on a lossless channel"
-                            ));
-                        }
-                        Err(e) => {
-                            return Err(format!("shard {shard} epoch {epoch} round {round}: {e}"));
-                        }
-                    }
-                }
-            } else {
-                for bytes in &ef.fulls {
-                    bytes_shipped += bytes.len();
-                    checkpoints += 1;
-                    let fleet: FleetArena = Checkpoint::restore(bytes)
-                        .map_err(|e| format!("shard {shard} epoch {epoch}: {e}"))?;
-                    // Round prefixes are nested, so re-absorbing each
-                    // successive full over the previous one is a plain OR
-                    // that lands on the final round's exact state.
-                    if !ring
-                        .absorb_epoch(epoch, &fleet)
-                        .map_err(|e| format!("shard {shard} epoch {epoch}: {e}"))?
-                    {
-                        return Err(format!("shard {shard} epoch {epoch}: frame expired"));
-                    }
-                }
-            }
-        }
-
-        let live = cfg.live_epochs() as u64;
-        let links: Vec<WindowedLinkReport> = ring
-            .estimates_sorted()
-            .into_iter()
-            .map(|(key, estimate)| {
-                let link = key as usize;
-                WindowedLinkReport {
-                    link,
-                    truth: live * cfg.epoch_flows(snapshot.counts()[link]),
-                    estimate,
-                }
-            })
-            .collect();
-        if links.len() != cfg.links {
-            return Err(format!("ring holds {} of {} links", links.len(), cfg.links));
-        }
-        let mean_abs_rel_err = links
-            .iter()
-            .map(|r| (r.estimate / r.truth as f64 - 1.0).abs())
-            .sum::<f64>()
-            / links.len() as f64;
-        let mut sorted: Vec<f64> = links.iter().map(|r| r.estimate).collect();
-        let estimate_quantiles = quantile_summary(&mut sorted);
-        Ok(WindowedSummary {
-            links,
-            shards: cfg.shards,
-            window: cfg.window,
-            epochs: cfg.epochs,
-            live_epochs: cfg.live_epochs(),
-            checkpoints,
-            bytes_shipped,
-            mean_abs_rel_err,
-            estimate_quantiles,
-        })
+        .collect();
+    let mean_abs_rel_err = links
+        .iter()
+        .map(|r| (r.estimate / r.truth as f64 - 1.0).abs())
+        .sum::<f64>()
+        / links.len() as f64;
+    let mut sorted: Vec<f64> = links.iter().map(|r| r.estimate).collect();
+    let estimate_quantiles = quantile_summary(&mut sorted);
+    Ok(WindowedSummary {
+        links,
+        window: cfg.window,
+        epochs: cfg.epochs,
+        live_epochs: cfg.live_epochs(),
+        mean_abs_rel_err,
+        estimate_quantiles,
     })
 }
 
@@ -1079,14 +740,12 @@ mod tests {
         let cfg = small_windowed();
         let s = run_windowed_pipeline(&cfg).unwrap();
         assert_eq!(s.links.len(), 18);
-        assert_eq!(s.checkpoints, 5 * 3, "one frame per shard per epoch");
         assert_eq!(s.live_epochs, 3);
         let snapshot = BackboneSnapshot::with_links(cfg.links, cfg.seed);
         for (i, r) in s.links.iter().enumerate() {
             assert_eq!(r.link, i);
             assert_eq!(r.truth, 3 * cfg.epoch_flows(snapshot.counts()[i]));
         }
-        assert!(s.bytes_shipped > 0);
         assert!(s.estimate_quantiles.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
@@ -1101,151 +760,41 @@ mod tests {
     }
 
     #[test]
-    fn windowed_shard_count_does_not_change_estimates() {
-        let mut cfg = small_windowed();
-        let a = run_windowed_pipeline(&cfg).unwrap();
-        cfg.shards = 1;
-        let b = run_windowed_pipeline(&cfg).unwrap();
-        cfg.shards = 4;
-        let c = run_windowed_pipeline(&cfg).unwrap();
-        for ((ra, rb), rc) in a.links.iter().zip(&b.links).zip(&c.links) {
-            assert_eq!(ra.estimate, rb.estimate, "link {}", ra.link);
-            assert_eq!(ra.estimate, rc.estimate, "link {}", ra.link);
-            assert_eq!(ra.truth, rb.truth, "link {}", ra.link);
-        }
-    }
-
-    #[test]
     fn windowed_window_larger_than_epochs_is_fine() {
         let mut cfg = small_windowed();
         cfg.window = 10;
         cfg.epochs = 2;
         let s = run_windowed_pipeline(&cfg).unwrap();
         assert_eq!(s.live_epochs, 2);
-        assert_eq!(s.checkpoints, 2 * 3);
+        assert_eq!(s.links.len(), cfg.links);
         assert!(s.mean_abs_rel_err < 0.2, "{}", s.mean_abs_rel_err);
     }
 
     #[test]
-    fn shard_frame_source_reproduces_the_pipeline() {
-        // Absorbing every shard's ShardFrameSource frames into a fresh
-        // ring — the daemon's ingest path — must reproduce the
-        // in-process pipeline's estimates and quantiles exactly.
-        let cfg = small_windowed();
-        let reference = run_windowed_pipeline(&cfg).unwrap();
-        let schedule = Arc::new(RateSchedule::from_memory(cfg.n_max, cfg.m_bits).unwrap());
-        let mut ring: WindowedFleet =
-            WindowedFleet::with_schedule(schedule, cfg.seed, cfg.window).unwrap();
-        let mut frames: Vec<(u64, usize, Vec<u8>)> = Vec::new();
-        for shard in 0..cfg.shards {
-            let built = ShardFrameSource::new(&cfg, shard).unwrap().collect_frames();
-            assert_eq!(built.len(), cfg.epochs);
-            // Determinism: a second independently built source emits the
-            // same bytes.
-            let again = ShardFrameSource::new(&cfg, shard).unwrap().collect_frames();
-            assert_eq!(built, again);
-            frames.extend(built.into_iter().map(|(e, b)| (e, shard, b)));
-        }
-        frames.sort_by_key(|&(epoch, shard, _)| (epoch, shard));
-        for (epoch, _, bytes) in &frames {
-            let fleet: FleetArena = Checkpoint::restore(bytes).unwrap();
-            ring.advance_to(*epoch).unwrap();
-            assert!(ring.absorb_epoch(*epoch, &fleet).unwrap());
-        }
-        let estimates = ring.estimates_sorted();
-        assert_eq!(estimates.len(), reference.links.len());
-        for ((key, est), link) in estimates.iter().zip(&reference.links) {
-            assert_eq!(*key as usize, link.link);
-            assert_eq!(*est, link.estimate, "link {}", link.link);
-        }
-        let mut sample: Vec<f64> = estimates.iter().map(|&(_, e)| e).collect();
-        assert_eq!(quantile_summary(&mut sample), reference.estimate_quantiles);
-        // Out-of-range shard is rejected.
-        assert!(ShardFrameSource::new(&cfg, cfg.shards).is_err());
-    }
-
-    #[test]
-    fn delta_lane_is_bit_identical_to_both_full_lanes() {
-        // The whole point of the v3 lane: same estimates, same quantiles,
-        // fewer bytes. Any drift between lanes is a codec bug.
-        let cfg = small_windowed();
-        let legacy = run_windowed_pipeline(&cfg).unwrap();
-        let full = run_windowed_pipeline_rounds(&cfg).unwrap();
-        let v3 = run_windowed_pipeline_v3(&cfg).unwrap();
-        assert_eq!(full.links.len(), legacy.links.len());
-        assert_eq!(v3.links.len(), legacy.links.len());
-        for ((a, b), c) in legacy.links.iter().zip(&full.links).zip(&v3.links) {
-            assert_eq!(a.link, c.link);
-            assert_eq!(a.estimate, b.estimate, "full lane, link {}", a.link);
-            assert_eq!(a.estimate, c.estimate, "v3 lane, link {}", a.link);
-            assert_eq!(a.truth, c.truth, "link {}", a.link);
-        }
-        assert_eq!(legacy.estimate_quantiles, full.estimate_quantiles);
-        assert_eq!(legacy.estimate_quantiles, v3.estimate_quantiles);
-        // Same cadence on both round lanes: one frame per shard per epoch
-        // per round.
-        let expect = cfg.epochs * cfg.shards * cfg.rounds;
-        assert_eq!(full.checkpoints, expect);
-        assert_eq!(v3.checkpoints, expect);
-        assert!(
-            v3.bytes_shipped < full.bytes_shipped,
-            "delta lane shipped {} vs full lane {}",
-            v3.bytes_shipped,
-            full.bytes_shipped
-        );
-    }
-
-    #[test]
-    fn delta_frame_source_is_deterministic_and_prefixes_nest() {
+    fn delta_frame_source_is_deterministic_and_labels_its_rounds() {
         let cfg = small_windowed();
         for shard in 0..cfg.shards {
             let epochs = DeltaFrameSource::new(&cfg, shard).unwrap().collect_epochs();
             let again = DeltaFrameSource::new(&cfg, shard).unwrap().collect_epochs();
             assert_eq!(epochs, again, "shard {shard} bytes are reproducible");
-            let legacy = ShardFrameSource::new(&cfg, shard).unwrap().collect_frames();
+            assert_eq!(epochs.len(), cfg.epochs);
             let shard_links = (shard..cfg.links).step_by(cfg.shards).count();
-            for (ef, (epoch, bytes)) in epochs.iter().zip(&legacy) {
-                assert_eq!(ef.epoch, *epoch);
-                assert_eq!(ef.fulls.len(), cfg.rounds);
+            for (epoch, ef) in epochs.iter().enumerate() {
+                assert_eq!(ef.epoch, epoch as u64);
+                assert!(ef.fulls.is_empty(), "no full checkpoints are cut");
                 assert_eq!(ef.deltas.len(), cfg.rounds);
-                // The last round prefix is the whole epoch, byte for byte.
-                assert_eq!(ef.fulls.last().unwrap(), bytes);
                 // Round 0 is a baseline carrying every shard link.
                 let baseline = FleetDeltaFrame::decode(&ef.deltas[0]).unwrap();
                 assert!(baseline.is_baseline());
                 assert_eq!(baseline.len(), shard_links);
                 for (r, delta) in ef.deltas.iter().enumerate() {
                     let frame = FleetDeltaFrame::decode(delta).unwrap();
-                    assert_eq!(frame.epoch, *epoch);
+                    assert_eq!(frame.epoch, ef.epoch);
                     assert_eq!(frame.round, r as u32);
                 }
             }
         }
         assert!(DeltaFrameSource::new(&cfg, cfg.shards).is_err());
-    }
-
-    #[test]
-    fn single_round_delta_lane_matches_legacy() {
-        // rounds = 1 degenerates to baseline-only frames: still exact.
-        let mut cfg = small_windowed();
-        cfg.rounds = 1;
-        let legacy = run_windowed_pipeline(&cfg).unwrap();
-        let v3 = run_windowed_pipeline_v3(&cfg).unwrap();
-        for (a, c) in legacy.links.iter().zip(&v3.links) {
-            assert_eq!(a.estimate, c.estimate, "link {}", a.link);
-        }
-        assert_eq!(v3.checkpoints, cfg.epochs * cfg.shards);
-    }
-
-    #[test]
-    fn round_runners_reject_zero_rounds() {
-        let mut cfg = small_windowed();
-        cfg.rounds = 0;
-        assert!(run_windowed_pipeline_v3(&cfg).is_err());
-        assert!(run_windowed_pipeline_rounds(&cfg).is_err());
-        assert!(DeltaFrameSource::new(&cfg, 0).is_err());
-        // The legacy one-frame-per-epoch runner ignores the knob.
-        assert!(run_windowed_pipeline(&cfg).is_ok());
     }
 
     #[test]
@@ -1277,11 +826,16 @@ mod tests {
                 ..small_windowed()
             },
             WindowedPipelineConfig {
+                rounds: 0,
+                ..small_windowed()
+            },
+            WindowedPipelineConfig {
                 m_bits: 1,
                 ..small_windowed()
             },
         ] {
             assert!(run_windowed_pipeline(&broken).is_err());
+            assert!(DeltaFrameSource::new(&broken, 0).is_err());
         }
     }
 

@@ -13,9 +13,9 @@
 //! * [`collector`] — the §7.2 deployment itself: sharded measurement
 //!   nodes shipping binary checkpoints over channels to a collector that
 //!   merges mergeable sketches and aggregates per-link S-bitmap
-//!   estimates — including a *windowed* mode where nodes ship one
-//!   checkpoint per epoch and the collector maintains a central
-//!   sliding-window ring (`sbitmap_core::WindowedFleet`);
+//!   estimates — plus the *windowed* deployment's per-shard v3 delta
+//!   chains and the codec-free reference of the central sliding-window
+//!   ring (`sbitmap_core::WindowedFleet`) they reassemble;
 //! * [`net`] — the transport-agnostic session protocol (framed,
 //!   checksummed messages with typed error frames) the `sbitmap-daemon`
 //!   crate speaks over TCP;
@@ -41,9 +41,9 @@ pub mod worm;
 
 pub use backbone::BackboneSnapshot;
 pub use collector::{
-    quantile_summary, run_pipeline, run_windowed_pipeline, run_windowed_pipeline_rounds,
-    run_windowed_pipeline_v3, CollectSummary, DeltaFrameSource, EpochFrames, LinkReport,
-    PipelineConfig, ShardFrameSource, WindowedLinkReport, WindowedPipelineConfig, WindowedSummary,
+    quantile_summary, run_pipeline, run_windowed_pipeline, CollectSummary, DeltaFrameSource,
+    EpochFrames, LinkReport, PipelineConfig, WindowedLinkReport, WindowedPipelineConfig,
+    WindowedSummary,
 };
 pub use fault::{FaultPlan, FaultyStream};
 pub use generators::{distinct_items, shuffle_stream, zipf_stream, DistinctItems};

@@ -9,8 +9,9 @@
 //! * batched windowed ingest must be bit-identical to a scalar feed
 //!   even when a batch spans epoch boundaries on the count-driven
 //!   clock;
-//! * the windowed collector's per-link estimates must be invariant in
-//!   the node shard count (1, 2 and 4 shards).
+//! * the v3 delta chains of any node shard count (1–4) and any round
+//!   split, OR-absorbed into one ring, must reproduce the codec-free
+//!   windowed reference (`run_windowed_pipeline`) bit for bit.
 //!
 //! This workspace builds offline, so instead of proptest these
 //! properties run over deterministic randomized cases drawn from the
@@ -23,8 +24,11 @@ mod keyed_oracle;
 
 use keyed_oracle::KeyedOracle;
 use sbitmap::core::estimator;
+use sbitmap::core::{AbsorbOutcome, FleetDeltaFrame};
 use sbitmap::hash::rng::{Rng, SplitMix64};
-use sbitmap::stream::{run_windowed_pipeline, WindowedPipelineConfig};
+use sbitmap::stream::{
+    quantile_summary, run_windowed_pipeline, DeltaFrameSource, WindowedPipelineConfig,
+};
 use sbitmap::{Bitmap, Checkpoint, WindowedFleet};
 
 /// Deterministic per-case RNG.
@@ -168,47 +172,78 @@ fn restore_mid_window_resumes_bit_identically() {
     }
 }
 
-#[test]
-fn windowed_collector_is_shard_count_invariant() {
-    for case in 0..2u64 {
-        let base = WindowedPipelineConfig {
-            links: 12,
-            shards: 1,
-            n_max: N_MAX,
-            m_bits: M_BITS,
-            window: 3,
-            epochs: 5,
-            rounds: 2,
-            seed: 7 + case,
-        };
-        let one = run_windowed_pipeline(&base).unwrap();
-        for shards in [2usize, 4] {
-            let cfg = WindowedPipelineConfig {
-                shards,
-                ..base.clone()
-            };
-            let many = run_windowed_pipeline(&cfg).unwrap();
-            assert_eq!(one.links.len(), many.links.len(), "case {case}");
-            for (a, b) in one.links.iter().zip(&many.links) {
-                assert_eq!(a.link, b.link, "case {case}");
-                assert_eq!(a.truth, b.truth, "case {case} link {}", a.link);
+/// Cut every shard's v3 delta chain with `DeltaFrameSource` and
+/// OR-absorb the chains into one ring in `(epoch, shard)` order: the
+/// collector's ingest path without the network in between.
+fn absorb_chains(cfg: &WindowedPipelineConfig) -> WindowedFleet {
+    let chains: Vec<_> = (0..cfg.shards)
+        .map(|shard| DeltaFrameSource::new(cfg, shard).unwrap().collect_epochs())
+        .collect();
+    let mut ring: WindowedFleet =
+        WindowedFleet::new(cfg.n_max, cfg.m_bits, cfg.seed, cfg.window).unwrap();
+    for epoch in 0..cfg.epochs {
+        ring.advance_to(epoch as u64).unwrap();
+        for (shard, chain) in chains.iter().enumerate() {
+            let ef = &chain[epoch];
+            assert_eq!(ef.epoch, epoch as u64);
+            assert_eq!(ef.deltas.len(), cfg.rounds);
+            for bytes in &ef.deltas {
+                let frame = FleetDeltaFrame::decode(bytes).unwrap();
+                let outcome = ring.absorb_delta_from(shard as u64, &frame).unwrap();
                 assert_eq!(
-                    a.estimate, b.estimate,
-                    "case {case} link {} at {shards} shards",
-                    a.link
+                    outcome,
+                    AbsorbOutcome::Absorbed,
+                    "shard {shard} epoch {epoch}"
                 );
             }
+        }
+    }
+    ring
+}
+
+#[test]
+fn windowed_collector_is_shard_count_invariant() {
+    // However many shards cut the delta chains and however many rounds
+    // each epoch is split into, the OR-absorbed chains reassemble the
+    // codec-free `run_windowed_pipeline` reference bit for bit.
+    for shards in 1..=4usize {
+        for rounds in [1usize, 2, 3, 8] {
+            let cfg = WindowedPipelineConfig {
+                links: 12,
+                shards,
+                n_max: N_MAX,
+                m_bits: M_BITS,
+                window: 3,
+                epochs: 5,
+                rounds,
+                seed: 7,
+            };
+            let case = format!("{shards} shards, {rounds} rounds");
+            let reference = run_windowed_pipeline(&cfg).unwrap();
+            let estimates = absorb_chains(&cfg).estimates();
+            assert_eq!(estimates.len(), reference.links.len(), "{case}");
+            for ((key, est), link) in estimates.iter().zip(&reference.links) {
+                assert_eq!(*key as usize, link.link, "{case}");
+                assert_eq!(
+                    est.to_bits(),
+                    link.estimate.to_bits(),
+                    "{case}: link {}",
+                    link.link
+                );
+            }
+            let mut sample: Vec<f64> = estimates.iter().map(|&(_, e)| e).collect();
             assert_eq!(
-                one.mean_abs_rel_err, many.mean_abs_rel_err,
-                "case {case} at {shards} shards"
+                quantile_summary(&mut sample),
+                reference.estimate_quantiles,
+                "{case}"
+            );
+            // And the estimates stay honest against the window truth.
+            assert!(
+                reference.mean_abs_rel_err < 0.2,
+                "{case}: mean |rel err| {}",
+                reference.mean_abs_rel_err
             );
         }
-        // And the estimates stay honest against the window truth.
-        assert!(
-            one.mean_abs_rel_err < 0.2,
-            "case {case}: mean |rel err| {}",
-            one.mean_abs_rel_err
-        );
     }
 }
 
@@ -233,5 +268,5 @@ fn windowed_checkpoint_restores_after_collector_absorbs() {
     for (ra, rb) in a.links.iter().zip(&b.links) {
         assert_eq!(ra.estimate, rb.estimate, "link {}", ra.link);
     }
-    assert_eq!(a.bytes_shipped, b.bytes_shipped, "byte-deterministic");
+    assert_eq!(a.estimate_quantiles, b.estimate_quantiles, "deterministic");
 }
