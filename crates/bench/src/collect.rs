@@ -8,10 +8,12 @@
 //! 1, 2, 4, … node shards. Items/second counts the *flows ingested*, so
 //! the lanes are directly comparable to the ingest bench.
 //!
-//! The `windowed_delta` lane times the windowed deployment's wire path:
-//! every shard's v3 delta chain ([`DeltaFrameSource`]) is cut, decoded
-//! and OR-absorbed into one central ring. Before any timing that ring
-//! must be **bit-identical** to the codec-free reference
+//! The `windowed_delta` lane times the collector's layer of the
+//! windowed deployment's wire path: every shard's v3 delta chain
+//! ([`DeltaFrameSource`]) is cut once, before timing, and the lane
+//! validates each frame in place and ORs it from its wire bytes into
+//! one central ring. Before any timing that ring must be
+//! **bit-identical** to the codec-free reference
 //! [`run_windowed_pipeline`] — the bench refuses to time an encoding
 //! that changes answers. The uncompressed comparator is computed, not
 //! shipped: a tag-9 `sketch-fleet` checkpoint's length depends only on
@@ -22,8 +24,8 @@
 //! `BENCH_collect.json`.
 
 use sbitmap_core::codec::Checkpoint;
-use sbitmap_core::{AbsorbOutcome, FleetArena, FleetDeltaFrame, WindowedFleet};
-use sbitmap_stream::collector::{run_pipeline, PipelineConfig};
+use sbitmap_core::{AbsorbOutcome, DeltaView, FleetArena, WindowedFleet};
+use sbitmap_stream::collector::{run_pipeline, EpochFrames, PipelineConfig};
 use sbitmap_stream::{
     run_windowed_pipeline, BackboneSnapshot, DeltaFrameSource, WindowedPipelineConfig,
 };
@@ -124,17 +126,26 @@ pub struct CollectRun {
     pub wire: WireStats,
 }
 
-/// Cut every shard's v3 delta chain and OR-absorb the chains into one
-/// ring in `(epoch, shard)` order. Returns the ring, the frames and the
-/// frame bytes shipped.
-fn absorb_chains(cfg: &WindowedPipelineConfig) -> (WindowedFleet, usize, usize) {
-    let chains: Vec<_> = (0..cfg.shards)
+/// Cut every shard's v3 delta chain (the agents' sketching and
+/// encoding — done once, outside any timed lane).
+fn cut_chains(cfg: &WindowedPipelineConfig) -> Vec<Vec<EpochFrames>> {
+    (0..cfg.shards)
         .map(|shard| {
             DeltaFrameSource::new(cfg, shard)
                 .expect("windowed config")
                 .collect_epochs()
         })
-        .collect();
+        .collect()
+}
+
+/// Validate every frame of the cut chains and OR it from its wire bytes
+/// into one ring, in `(epoch, shard)` order — the collector's share of
+/// the wire path. Returns the ring, the frames and the frame bytes
+/// shipped.
+fn absorb_chains(
+    cfg: &WindowedPipelineConfig,
+    chains: &[Vec<EpochFrames>],
+) -> (WindowedFleet, usize, usize) {
     let mut ring: WindowedFleet =
         WindowedFleet::new(cfg.n_max, cfg.m_bits, cfg.seed, cfg.window).expect("windowed config");
     let (mut frames, mut bytes) = (0, 0);
@@ -144,8 +155,8 @@ fn absorb_chains(cfg: &WindowedPipelineConfig) -> (WindowedFleet, usize, usize) 
             for delta in &chain[epoch].deltas {
                 frames += 1;
                 bytes += delta.len();
-                let frame = FleetDeltaFrame::decode(delta).expect("own frame decodes");
-                let outcome = ring.absorb_delta_from(shard as u64, &frame);
+                let view = DeltaView::validate(delta).expect("own frame validates");
+                let outcome = ring.absorb_delta_view(shard as u64, &view);
                 assert_eq!(
                     outcome.ok(),
                     Some(AbsorbOutcome::Absorbed),
@@ -202,7 +213,8 @@ pub fn run(cfg: &CollectConfig) -> CollectRun {
     // Equivalence gate before timing the wire lane.
     let wcfg = cfg.windowed();
     let reference = run_windowed_pipeline(&wcfg).expect("windowed reference");
-    let (ring, frames, bytes_v3) = absorb_chains(&wcfg);
+    let chains = cut_chains(&wcfg);
+    let (ring, frames, bytes_v3) = absorb_chains(&wcfg, &chains);
     let expected: Vec<(u64, f64)> = reference
         .links
         .iter()
@@ -220,7 +232,9 @@ pub fn run(cfg: &CollectConfig) -> CollectRun {
         reduction: bytes_full as f64 / (bytes_v3.max(1)) as f64,
     };
 
-    results.push(bench.run("windowed_delta", frames as u64, || absorb_chains(&wcfg).1));
+    results.push(bench.run("windowed_delta", frames as u64, || {
+        absorb_chains(&wcfg, &chains).1
+    }));
     CollectRun { results, wire }
 }
 

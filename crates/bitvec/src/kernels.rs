@@ -5,8 +5,10 @@
 //! their hot paths as operations over `&[u64]` word slices: popcount a
 //! region, OR one region into another and report the newly set bits, or
 //! accumulate an OR *and* the running popcount in one pass (the fused
-//! window-query kernel). This module provides each of those as a pair of
-//! bit-identical implementations —
+//! window-query kernel). Two of them also take their source as raw
+//! little-endian bytes, so a v3 delta run is popcounted and ORed straight
+//! from the wire with no decoded copy. This module provides each of
+//! those as a pair of bit-identical implementations —
 //!
 //! * a **scalar** loop (`u64` ops only, every platform), and
 //! * an **AVX2** loop (x86-64, 4 words per vector, nibble-LUT popcount)
@@ -38,17 +40,33 @@ pub struct WordKernels {
     /// `"avx2"` or `"scalar"` — recorded in every `BENCH_*.json` header.
     name: &'static str,
     popcount: fn(&[u64]) -> usize,
+    popcount_bytes: fn(&[u8]) -> usize,
     or_into: fn(&mut [u64], &[u64]),
     union_or_count: fn(&mut [u64], &[u64]) -> usize,
+    union_or_count_bytes: fn(&mut [u64], &[u8]) -> usize,
+    varint_positions: VarintPositions,
+    varint_check: VarintCheck,
     or_accumulate_popcount: fn(&mut [u64], &[u64]) -> usize,
     or_gather_popcount: fn(&mut [u64], &[&[u64]], bool) -> usize,
 }
 
+/// `(bytes, at, base, out, limit) -> (decoded, next)`; see
+/// [`WordKernels::varint_positions`].
+type VarintPositions = fn(&[u8], usize, u32, &mut [u32], usize) -> (usize, usize);
+
+/// `(bytes, at, first, limit) -> (checked, next, sum)`; see
+/// [`WordKernels::varint_check`].
+type VarintCheck = fn(&[u8], usize, bool, usize) -> (usize, usize, u64);
+
 static SCALAR: WordKernels = WordKernels {
     name: "scalar",
     popcount: scalar::popcount,
+    popcount_bytes: scalar::popcount_bytes,
     or_into: scalar::or_into,
     union_or_count: scalar::union_or_count,
+    union_or_count_bytes: scalar::union_or_count_bytes,
+    varint_positions: scalar::varint_positions,
+    varint_check: scalar::varint_check,
     or_accumulate_popcount: scalar::or_accumulate_popcount,
     or_gather_popcount: scalar::or_gather_popcount,
 };
@@ -57,8 +75,12 @@ static SCALAR: WordKernels = WordKernels {
 static AVX2: WordKernels = WordKernels {
     name: "avx2",
     popcount: avx2::popcount,
+    popcount_bytes: avx2::popcount_bytes,
     or_into: avx2::or_into,
     union_or_count: avx2::union_or_count,
+    union_or_count_bytes: avx2::union_or_count_bytes,
+    varint_positions: avx2::varint_positions,
+    varint_check: avx2::varint_check,
     or_accumulate_popcount: avx2::or_accumulate_popcount,
     or_gather_popcount: avx2::or_gather_popcount,
 };
@@ -101,6 +123,13 @@ impl WordKernels {
         (self.popcount)(words)
     }
 
+    /// Number of one bits across `bytes` (any length; the popcount of a
+    /// word slice's little-endian image equals the slice's popcount).
+    #[inline]
+    pub fn popcount_bytes(&self, bytes: &[u8]) -> usize {
+        (self.popcount_bytes)(bytes)
+    }
+
     /// `dst |= src`, word by word.
     ///
     /// # Panics
@@ -123,6 +152,78 @@ impl WordKernels {
     pub fn union_or_count(&self, dst: &mut [u64], src: &[u64]) -> usize {
         assert_eq!(dst.len(), src.len(), "union_or_count: slice lengths differ");
         (self.union_or_count)(dst, src)
+    }
+
+    /// [`WordKernels::union_or_count`] with the source given as the
+    /// little-endian bytes of `dst.len()` words — a v3 delta run exactly
+    /// as it sits on the wire.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not exactly `8 * dst.len()` bytes.
+    #[inline]
+    pub fn union_or_count_bytes(&self, dst: &mut [u64], src: &[u8]) -> usize {
+        assert_eq!(
+            dst.len() * 8,
+            src.len(),
+            "union_or_count_bytes: slice lengths differ"
+        );
+        (self.union_or_count_bytes)(dst, src)
+    }
+
+    /// Decode at most `limit` LEB128 gaps of one or two bytes,
+    /// starting at offset `at` of `bytes`, into running positions —
+    /// `out[i]` is `base` plus gaps `0..=i`: the sparse record body of a
+    /// v3 delta frame that [`WordKernels::varint_check`] (or a reader
+    /// as strict) already passed. `out` may be written up to
+    /// `limit + 7`, as room allows. Stops early, leaving the rest to a
+    /// byte-by-byte reader, at a varint longer than two bytes and within
+    /// the last bytes of `bytes`; where exactly differs between the
+    /// tables, what is decoded does not. Returns the positions decoded
+    /// and the offset after them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is past the end of `bytes` or `limit` past the end
+    /// of `out`.
+    #[inline]
+    pub fn varint_positions(
+        &self,
+        bytes: &[u8],
+        at: usize,
+        base: u32,
+        out: &mut [u32],
+        limit: usize,
+    ) -> (usize, usize) {
+        assert!(at <= bytes.len(), "varint_positions: offset past the bytes");
+        assert!(
+            limit <= out.len(),
+            "varint_positions: limit past the output"
+        );
+        (self.varint_positions)(bytes, at, base, out, limit)
+    }
+
+    /// Check at most `limit` LEB128 gaps, starting at offset `at` of
+    /// `bytes`, without decoding them one by one: each must be one or
+    /// two bytes and non-zero (the first may be zero when `first` is
+    /// set). Stops early, leaving the rest to a byte-by-byte reader, at
+    /// a longer varint, a zero gap or the last bytes of `bytes`. Returns
+    /// the gaps checked, the offset after them and their sum — the
+    /// last position, counted from the one before them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is past the end of `bytes`.
+    #[inline]
+    pub fn varint_check(
+        &self,
+        bytes: &[u8],
+        at: usize,
+        first: bool,
+        limit: usize,
+    ) -> (usize, usize, u64) {
+        assert!(at <= bytes.len(), "varint_check: offset past the bytes");
+        (self.varint_check)(bytes, at, first, limit)
     }
 
     /// The fused window-query kernel: `acc |= src` and the popcount of
@@ -218,6 +319,19 @@ mod scalar {
         words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    pub(super) fn popcount_bytes(bytes: &[u8]) -> usize {
+        let mut chunks = bytes.chunks_exact(8);
+        let words: usize = (&mut chunks)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")).count_ones() as usize)
+            .sum();
+        words
+            + chunks
+                .remainder()
+                .iter()
+                .map(|b| b.count_ones() as usize)
+                .sum::<usize>()
+    }
+
     pub(super) fn or_into(dst: &mut [u64], src: &[u64]) {
         for (d, &s) in dst.iter_mut().zip(src) {
             *d |= s;
@@ -232,6 +346,113 @@ mod scalar {
             *d = merged;
         }
         newly
+    }
+
+    pub(super) fn union_or_count_bytes(dst: &mut [u64], src: &[u8]) -> usize {
+        let mut newly = 0usize;
+        for (d, s) in dst.iter_mut().zip(src.chunks_exact(8)) {
+            let merged = *d | u64::from_le_bytes(s.try_into().expect("8 bytes"));
+            newly += (merged ^ *d).count_ones() as usize;
+            *d = merged;
+        }
+        newly
+    }
+
+    /// Bit 7 of every byte.
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+
+    /// Eight bytes at a time while they hold only one- and two-byte
+    /// varints (no byte load on the chain from one gap to the next),
+    /// then one varint at a time.
+    pub(super) fn varint_positions(
+        bytes: &[u8],
+        mut at: usize,
+        mut pos: u32,
+        out: &mut [u32],
+        limit: usize,
+    ) -> (usize, usize) {
+        let mut k = 0usize;
+        while k + 8 <= out.len() {
+            let Some(chunk) = bytes.get(at..at + 8) else {
+                break;
+            };
+            let w = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+            let cont = w & HIGH;
+            let ends = !w & HIGH;
+            let used = 8 - ends.leading_zeros() / 8;
+            if ends == 0 || cont & (cont << 8) & (u64::MAX >> (64 - 8 * used)) != 0 {
+                break;
+            }
+            let count = (ends >> 7).wrapping_mul(0x0101_0101_0101_0101) >> 56;
+            if k + count as usize > limit {
+                break;
+            }
+            let low = w & (u64::MAX >> (64 - 8 * used));
+            let mut n = k;
+            for j in 0..8 {
+                let second = if j == 0 { 0 } else { (cont >> (8 * j - 1)) & 1 };
+                pos += (((low >> (8 * j)) & 0x7f) << (7 * second)) as u32;
+                out[n] = pos;
+                n += ((ends >> (8 * j + 7)) & 1) as usize;
+            }
+            k = n;
+            at += used as usize;
+        }
+        one_by_one(bytes, pos, &mut out[..limit], k, at)
+    }
+
+    pub(super) fn varint_check(
+        bytes: &[u8],
+        mut at: usize,
+        mut first: bool,
+        limit: usize,
+    ) -> (usize, usize, u64) {
+        let (mut n, mut sum) = (0usize, 0u64);
+        while n < limit {
+            let Some(&[b0, b1]) = bytes.get(at..at + 2) else {
+                break;
+            };
+            if b0 & b1 & 0x80 != 0 {
+                break;
+            }
+            let two = b0 >> 7;
+            let gap =
+                u64::from(b0 & 0x7f) | (u64::from(b1 & 0x7f) << 7) & u64::from(two).wrapping_neg();
+            if gap == 0 && !first {
+                break;
+            }
+            sum += gap;
+            n += 1;
+            at += 1 + usize::from(two);
+            first = false;
+        }
+        (n, at, sum)
+    }
+
+    /// The one-varint tail of both tables' `varint_positions`: one- and
+    /// two-byte gaps, decoded with no branch on which.
+    pub(super) fn one_by_one(
+        bytes: &[u8],
+        mut pos: u32,
+        out: &mut [u32],
+        mut k: usize,
+        mut at: usize,
+    ) -> (usize, usize) {
+        while k < out.len() {
+            let Some(&[b0, b1]) = bytes.get(at..at + 2) else {
+                break;
+            };
+            if b0 & b1 & 0x80 != 0 {
+                break;
+            }
+            let two = b0 >> 7;
+            pos +=
+                u32::from(b0 & 0x7f) | (u32::from(b1 & 0x7f) << 7) & u32::from(two).wrapping_neg();
+            out[k] = pos;
+            k += 1;
+            at += 1 + usize::from(two);
+        }
+        (k, at)
     }
 
     pub(super) fn or_accumulate_popcount(acc: &mut [u64], src: &[u64]) -> usize {
@@ -309,9 +530,14 @@ mod avx2 {
     #![allow(unsafe_code)]
 
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_loadu_si256,
-        _mm256_or_si256, _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256,
-        _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_storeu_si256, _mm256_xor_si256,
+        __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
+        _mm256_blend_epi32, _mm256_cmpeq_epi8, _mm256_cmpgt_epi8, _mm256_cvtepu16_epi32,
+        _mm256_extract_epi32, _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_or_si256,
+        _mm256_permutevar8x32_epi32, _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi64x,
+        _mm256_set1_epi8, _mm256_setr_epi32, _mm256_setr_epi8, _mm256_setzero_si256,
+        _mm256_shuffle_epi8, _mm256_slli_epi64, _mm256_slli_si256, _mm256_srli_epi16,
+        _mm256_storeu_si256, _mm256_sub_epi64, _mm256_xor_si256, _mm_and_si128, _mm_loadu_si128,
+        _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi16, _mm_shuffle_epi8, _mm_srli_epi16,
     };
 
     /// Per-64-bit-lane popcount of `v` (Muła's nibble-LUT algorithm).
@@ -349,6 +575,17 @@ mod avx2 {
             total += w.count_ones() as usize;
         }
         total
+    }
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn popcount_bytes_impl(bytes: &[u8]) -> usize {
+        let mut chunks = bytes.chunks_exact(32);
+        let mut acc = _mm256_setzero_si256();
+        for c in &mut chunks {
+            let v = _mm256_loadu_si256(c.as_ptr().cast());
+            acc = _mm256_add_epi64(acc, popcnt_epi64(v));
+        }
+        hsum_epi64(acc) + super::scalar::popcount_bytes(chunks.remainder())
     }
 
     #[target_feature(enable = "avx2")]
@@ -394,6 +631,25 @@ mod avx2 {
         newly
     }
 
+    /// `union_or_count_impl` reading the source as little-endian bytes:
+    /// x86-64 is little-endian, so an unaligned 32-byte load of the wire
+    /// image is the same vector as a load of the decoded words.
+    #[target_feature(enable = "avx2")]
+    unsafe fn union_or_count_bytes_impl(dst: &mut [u64], src: &[u8]) -> usize {
+        let mut d_chunks = dst.chunks_exact_mut(4);
+        let mut s_chunks = src.chunks_exact(32);
+        let mut acc = _mm256_setzero_si256();
+        for (d, s) in (&mut d_chunks).zip(&mut s_chunks) {
+            let dv = _mm256_loadu_si256(d.as_ptr().cast());
+            let sv = _mm256_loadu_si256(s.as_ptr().cast());
+            let merged = _mm256_or_si256(dv, sv);
+            _mm256_storeu_si256(d.as_mut_ptr().cast(), merged);
+            acc = _mm256_add_epi64(acc, popcnt_epi64(_mm256_xor_si256(merged, dv)));
+        }
+        hsum_epi64(acc)
+            + super::scalar::union_or_count_bytes(d_chunks.into_remainder(), s_chunks.remainder())
+    }
+
     #[target_feature(enable = "avx2")]
     unsafe fn or_accumulate_popcount_impl(acc: &mut [u64], src: &[u64]) -> usize {
         let mut a_chunks = acc.chunks_exact_mut(4);
@@ -419,8 +675,221 @@ mod avx2 {
         pop
     }
 
+    /// How the eight bytes of one stride split into varints, by table
+    /// index `carry << 8 | mask`: `mask` holds the stride bytes'
+    /// continuation bits, `carry` whether the byte before the stride
+    /// begins a varint that ends inside it. `shuffle` gathers each
+    /// varint that ends in the stride into a 16-bit lane of the 16
+    /// bytes loaded from one byte before the stride (low byte, then high
+    /// byte or `0x80`, which zeroes); `count` varints end in the stride.
+    /// A varint of three bytes or more makes the stride `LONG`.
+    #[derive(Clone, Copy)]
+    struct Split {
+        shuffle: [u8; 16],
+        count: u8,
+    }
+
+    const LONG: u8 = u8::MAX;
+
+    const SPLITS: [Split; 512] = {
+        let mut table = [Split {
+            shuffle: [0x80; 16],
+            count: 0,
+        }; 512];
+        let mut index = 0;
+        while index < 512 {
+            // Register byte `i` is a continuation byte: byte 0 is the
+            // carried one, bytes 1..=8 the stride.
+            let cont = (index & 0xff) << 1 | index >> 8;
+            let mut s = if index >> 8 == 1 { 0 } else { 1 };
+            let mut count = 0;
+            while s <= 8 {
+                if cont >> s & 1 == 0 {
+                    table[index].shuffle[2 * count] = s as u8;
+                    s += 1;
+                } else if s == 8 {
+                    break;
+                } else if cont >> (s + 1) & 1 == 0 {
+                    table[index].shuffle[2 * count] = s as u8;
+                    table[index].shuffle[2 * count + 1] = s as u8 + 1;
+                    s += 2;
+                } else {
+                    count = LONG as usize;
+                    break;
+                }
+                count += 1;
+            }
+            table[index].count = count as u8;
+            index += 1;
+        }
+        table
+    };
+
+    /// [`super::scalar::varint_positions`] a fixed eight-byte stride at
+    /// a time: every byte with its top bit clear ends a varint wherever
+    /// the stride starts, so a stride's split is one table lookup on its
+    /// continuation bits (plus the carried one) and no stride waits on
+    /// the one before it. A table shuffle gathers the varints into
+    /// 16-bit lanes; their running sums come from two in-lane shifts and
+    /// one cross-lane carry.
+    #[target_feature(enable = "avx2")]
+    unsafe fn varint_positions_impl(
+        bytes: &[u8],
+        mut at: usize,
+        pos: u32,
+        out: &mut [u32],
+        limit: usize,
+    ) -> (usize, usize) {
+        let mut k = 0usize;
+        let mut carry = 0usize;
+        let low7 = _mm_set1_epi16(0x7f);
+        let high7 = _mm_set1_epi16(0x3f80);
+        let cross = _mm256_setr_epi32(0, 0, 0, 0, 3, 3, 3, 3);
+        let last = _mm256_set1_epi32(7);
+        let mut posv = _mm256_set1_epi32(pos as i32);
+        // The load starts one byte before the stride.
+        while k + 8 <= out.len() && at >= 1 && at + 15 <= bytes.len() {
+            let reg = _mm_loadu_si128(bytes.as_ptr().add(at - 1).cast::<__m128i>());
+            let mask = (_mm_movemask_epi8(reg) as usize >> 1) & 0xff;
+            let split = &SPLITS[carry << 8 | mask];
+            let count = usize::from(split.count);
+            // A stride is taken whole: every varint that ends in it must
+            // be wanted, and when the last wanted one ends in it, so
+            // must the stride (the next bytes are another record's).
+            if split.count == LONG || k + count > limit || (k + count == limit && mask >> 7 == 1) {
+                break;
+            }
+            let lanes = _mm_shuffle_epi8(reg, _mm_loadu_si128(split.shuffle.as_ptr().cast()));
+            let gaps = _mm_or_si128(
+                _mm_and_si128(lanes, low7),
+                _mm_and_si128(_mm_srli_epi16(lanes, 1), high7),
+            );
+            let mut sums = _mm256_cvtepu16_epi32(gaps);
+            sums = _mm256_add_epi32(sums, _mm256_slli_si256(sums, 4));
+            sums = _mm256_add_epi32(sums, _mm256_slli_si256(sums, 8));
+            let low_total = _mm256_blend_epi32(
+                _mm256_setzero_si256(),
+                _mm256_permutevar8x32_epi32(sums, cross),
+                0b1111_0000,
+            );
+            sums = _mm256_add_epi32(_mm256_add_epi32(sums, low_total), posv);
+            // `out[k..k + 8]` is in bounds (checked above); lanes past
+            // `count` repeat the last position and are overwritten next.
+            _mm256_storeu_si256(out.as_mut_ptr().add(k).cast(), sums);
+            posv = _mm256_permutevar8x32_epi32(sums, last);
+            k += count;
+            at += 8;
+            carry = mask >> 7;
+        }
+        // A varint begun in the last stride resumes at its first byte.
+        let pos = _mm256_extract_epi32(posv, 0) as u32;
+        super::scalar::one_by_one(bytes, pos, &mut out[..limit], k, at - carry)
+    }
+
+    /// [`super::scalar::varint_check`] 32 bytes at a time. Every byte
+    /// with its top bit clear ends a varint wherever the block starts,
+    /// so each block's checks are mask arithmetic on its continuation
+    /// bits (plus the one carried in), and its gap sum is two byte-sum
+    /// reductions: a second byte's bits weigh 128. Only the block where
+    /// the `limit`-th varint ends needs the bytes counted up to it.
+    #[target_feature(enable = "avx2")]
+    unsafe fn varint_check_impl(
+        bytes: &[u8],
+        mut at: usize,
+        first: bool,
+        limit: usize,
+    ) -> (usize, usize, u64) {
+        let mut n = 0usize;
+        let mut exempt = first;
+        // The byte before the block: whether it begins a varint that
+        // ends in the block, its value bits, and whether it has any.
+        let (mut carry, mut carried, mut carried_value) = (0u32, 0u64, 0u32);
+        let low7 = _mm256_set1_epi8(0x7f);
+        let zero = _mm256_setzero_si256();
+        let iota = _mm256_setr_epi8(
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23,
+            24, 25, 26, 27, 28, 29, 30, 31,
+        );
+        let mut sums = zero;
+        let mut total = 0u64;
+        while n < limit && at + 32 <= bytes.len() {
+            let v = _mm256_loadu_si256(bytes.as_ptr().add(at).cast());
+            let cont = _mm256_movemask_epi8(v) as u32;
+            let ends = !cont;
+            let low = _mm256_and_si256(v, low7);
+            let valued = !(_mm256_movemask_epi8(_mm256_cmpeq_epi8(low, zero)) as u32);
+            // Bytes that follow a continuation byte: second bytes.
+            let second = cont << 1 | carry;
+            let count = ends.count_ones() as usize;
+            // A cut block holds the `limit`-th varint end: keep the
+            // bytes through it. Else keep all but a last byte that
+            // begins a varint (its value is carried into the next
+            // block, whose first byte ends it).
+            let cut = n + count > limit;
+            let (keep, taken) = if cut {
+                let mut e = ends;
+                for _ in 0..limit - n - 1 {
+                    e &= e - 1;
+                }
+                (u32::MAX >> (31 - e.trailing_zeros()), limit - n)
+            } else {
+                (u32::MAX >> (cont >> 31), count)
+            };
+            // A varint of three bytes or more (in a whole block, also
+            // one whose second byte is the last); a gap with no value
+            // bits in either of its bytes (but the record's first).
+            let long = cont & second & if cut { keep } else { u32::MAX };
+            let mut zero_gaps = ends & !(valued | (valued << 1 | carried_value) & second);
+            if exempt {
+                zero_gaps &= !(ends & ends.wrapping_neg());
+            }
+            if long | zero_gaps & keep != 0 {
+                break;
+            }
+            let kept = _mm256_cmpgt_epi8(_mm256_set1_epi8(keep.count_ones() as i8), iota);
+            let counted = _mm256_and_si256(low, kept);
+            let seconds = _mm256_sad_epu8(_mm256_and_si256(counted, expand(second)), zero);
+            sums = _mm256_add_epi64(sums, _mm256_sad_epu8(counted, zero));
+            sums = _mm256_add_epi64(
+                sums,
+                _mm256_sub_epi64(_mm256_slli_epi64(seconds, 7), seconds),
+            );
+            total += carried;
+            n += taken;
+            exempt &= taken == 0;
+            if cut {
+                at += keep.count_ones() as usize;
+                carry = 0;
+                break;
+            }
+            at += 32;
+            carry = cont >> 31;
+            carried = u64::from(bytes[at - 1] & 0x7f) * u64::from(carry);
+            carried_value = (valued >> 31) & carry;
+        }
+        // A varint begun in the last block resumes at its first byte.
+        at -= carry as usize;
+        let total = total + hsum_epi64(sums) as u64;
+        let (more, at, rest) = super::scalar::varint_check(bytes, at, exempt, limit - n);
+        (n + more, at, total + rest)
+    }
+
+    /// Byte `j` of the result is `0xff` where bit `j` of `mask` is set.
+    #[inline(always)]
+    unsafe fn expand(mask: u32) -> __m256i {
+        let spread = _mm256_shuffle_epi8(
+            _mm256_set1_epi32(mask as i32),
+            _mm256_setr_epi8(
+                0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3,
+                3, 3, 3, 3,
+            ),
+        );
+        let bits = _mm256_set1_epi64x(0x8040_2010_0804_0201u64 as i64);
+        _mm256_cmpeq_epi8(_mm256_and_si256(spread, bits), bits)
+    }
+
     // Safe wrappers with the plain `fn` signature the dispatch table
-    // needs. SAFETY (all four): these symbols are referenced only by the
+    // needs. SAFETY (all of them): these symbols are referenced only by the
     // `AVX2` table, which `WordKernels::dispatched` installs exclusively
     // after `is_x86_feature_detected!("avx2")` returned true, so the
     // target-feature contract of the inner functions holds.
@@ -429,12 +898,39 @@ mod avx2 {
         unsafe { popcount_impl(words) }
     }
 
+    pub(super) fn popcount_bytes(bytes: &[u8]) -> usize {
+        unsafe { popcount_bytes_impl(bytes) }
+    }
+
     pub(super) fn or_into(dst: &mut [u64], src: &[u64]) {
         unsafe { or_into_impl(dst, src) }
     }
 
     pub(super) fn union_or_count(dst: &mut [u64], src: &[u64]) -> usize {
         unsafe { union_or_count_impl(dst, src) }
+    }
+
+    pub(super) fn union_or_count_bytes(dst: &mut [u64], src: &[u8]) -> usize {
+        unsafe { union_or_count_bytes_impl(dst, src) }
+    }
+
+    pub(super) fn varint_positions(
+        bytes: &[u8],
+        at: usize,
+        pos: u32,
+        out: &mut [u32],
+        limit: usize,
+    ) -> (usize, usize) {
+        unsafe { varint_positions_impl(bytes, at, pos, out, limit) }
+    }
+
+    pub(super) fn varint_check(
+        bytes: &[u8],
+        at: usize,
+        first: bool,
+        limit: usize,
+    ) -> (usize, usize, u64) {
+        unsafe { varint_check_impl(bytes, at, first, limit) }
     }
 
     pub(super) fn or_accumulate_popcount(acc: &mut [u64], src: &[u64]) -> usize {
@@ -523,6 +1019,18 @@ mod tests {
             assert_eq!(da, sa, "union_or_count words len {}", a.len());
             assert_eq!(dn, sn, "union_or_count count len {}", a.len());
 
+            let b_bytes: Vec<u8> = b.iter().flat_map(|w| w.to_le_bytes()).collect();
+            assert_eq!(
+                d.popcount_bytes(&b_bytes),
+                s.popcount_bytes(&b_bytes),
+                "popcount_bytes len {}",
+                a.len()
+            );
+            let (mut da, mut sa) = (a.clone(), a.clone());
+            let dn = d.union_or_count_bytes(&mut da, &b_bytes);
+            let sn = s.union_or_count_bytes(&mut sa, &b_bytes);
+            assert_eq!((da, dn), (sa, sn), "union_or_count_bytes len {}", a.len());
+
             let (mut da, mut sa) = (a.clone(), a.clone());
             let dp = d.or_accumulate_popcount(&mut da, &b);
             let sp = s.or_accumulate_popcount(&mut sa, &b);
@@ -562,6 +1070,12 @@ mod tests {
             let expect: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| x | y).collect();
             assert_eq!(merged, expect);
             assert_eq!(newly, k.popcount(&expect) - expect_pop);
+
+            let b_bytes: Vec<u8> = b.iter().flat_map(|w| w.to_le_bytes()).collect();
+            assert_eq!(k.popcount_bytes(&b_bytes), k.popcount(&b));
+            let mut merged = a.clone();
+            assert_eq!(k.union_or_count_bytes(&mut merged, &b_bytes), newly);
+            assert_eq!(merged, expect);
 
             let mut acc = a.clone();
             let pop = k.or_accumulate_popcount(&mut acc, &b);

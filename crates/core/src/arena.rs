@@ -34,7 +34,7 @@ use std::sync::Arc;
 use sbitmap_bitvec::{Bitmap, SliceBitmap};
 use sbitmap_hash::{FromSeed, Hasher64, SplitMix64Hasher};
 
-use crate::codec::{Checkpoint, CounterKind, PayloadReader, PayloadWriter};
+use crate::codec::{Checkpoint, CounterKind, DeltaSink, PayloadReader, PayloadWriter, RunWords};
 use crate::counter::KeyedEstimates;
 use crate::fleet::sketch_seed;
 use crate::schedule::RateSchedule;
@@ -679,41 +679,24 @@ impl<H: Hasher64 + FromSeed> FleetArena<H> {
         Some(&self.words[slot * self.stride..(slot + 1) * self.stride])
     }
 
-    /// OR a decoded delta-record body onto `key`'s bitmap (the slot is
-    /// created if absent — a round-0 baseline record does exactly that),
-    /// updating the fill counter by the newly-set count. Returns how
-    /// many bits were newly set.
+    /// The sink that ORs a walked delta frame's records onto this
+    /// arena: each record's slot is created if absent (a round-0
+    /// baseline record does exactly that) and its fill counter raised
+    /// by the newly-set count.
     ///
-    /// Infallible by construction: [`crate::codec::FleetDeltaFrame`]
-    /// decoding already bounds every run inside the stride and every
-    /// sparse position below `m`, and the caller
-    /// ([`crate::WindowedFleet::absorb_delta_from`]) has verified the
-    /// frame's dimensioning matches this arena's.
-    pub(crate) fn or_apply_delta(&mut self, key: u64, body: crate::codec::DeltaBody<'_>) -> u64 {
-        let slot = self.slot_for(key);
-        let words = &mut self.words[slot * self.stride..(slot + 1) * self.stride];
-        let newly = match body {
-            crate::codec::DeltaBody::Runs(runs) => {
-                let kernels = sbitmap_bitvec::kernels::WordKernels::dispatched();
-                runs.map(|(start, run)| {
-                    let start = start as usize;
-                    kernels.union_or_count(&mut words[start..start + run.len()], run)
-                })
-                .sum()
-            }
-            crate::codec::DeltaBody::Sparse(positions) => {
-                let mut newly = 0usize;
-                for &pos in positions {
-                    let word = &mut words[pos as usize >> 6];
-                    let bit = 1u64 << (pos & 63);
-                    newly += usize::from(*word & bit == 0);
-                    *word |= bit;
-                }
-                newly
-            }
-        };
-        self.fills[slot] += newly;
-        newly as u64
+    /// Infallible by construction: a walk only hands over runs inside
+    /// the stride and positions below `m` of its frame, and the caller
+    /// ([`crate::WindowedFleet::absorb_delta_view`] and its frame
+    /// siblings) has verified the frame's dimensioning matches this
+    /// arena's.
+    pub(crate) fn delta_sink(&mut self) -> DeltaApply<'_, H> {
+        DeltaApply {
+            arena: self,
+            kernels: sbitmap_bitvec::kernels::WordKernels::dispatched(),
+            slot: 0,
+            base: 0,
+            newly: 0,
+        }
     }
 
     /// Number of tracked keys.
@@ -963,6 +946,51 @@ impl<H: Hasher64 + FromSeed> Checkpoint for FleetArena<H> {
             fleet.restore_slot(key, fill, words)?;
         }
         Ok(fleet)
+    }
+}
+
+/// ORs delta records onto a [`FleetArena`] (see
+/// [`FleetArena::delta_sink`]).
+pub(crate) struct DeltaApply<'a, H: Hasher64 + FromSeed> {
+    arena: &'a mut FleetArena<H>,
+    kernels: &'static sbitmap_bitvec::kernels::WordKernels,
+    /// The open record's slot and its first word.
+    slot: usize,
+    base: usize,
+    /// Bits the open record newly set so far.
+    newly: usize,
+}
+
+impl<H: Hasher64 + FromSeed> DeltaSink for DeltaApply<'_, H> {
+    fn key(&mut self, key: u64, _: u32, _: bool) {
+        self.slot = self.arena.slot_for(key);
+        self.base = self.slot * self.arena.stride;
+    }
+
+    fn run(&mut self, start: usize, words: RunWords<'_>) {
+        let at = self.base + start;
+        let dst = &mut self.arena.words[at..at + words.len()];
+        self.newly += match words {
+            RunWords::Le(raw) => self.kernels.union_or_count_bytes(dst, raw),
+            RunWords::Words(src) => self.kernels.union_or_count(dst, src),
+        };
+    }
+
+    fn positions(&mut self, positions: &[u32]) {
+        let words = &mut self.arena.words[self.base..self.base + self.arena.stride];
+        let mut newly = 0;
+        for &pos in positions {
+            let word = &mut words[pos as usize >> 6];
+            let bit = 1u64 << (pos & 63);
+            newly += usize::from(*word & bit == 0);
+            *word |= bit;
+        }
+        self.newly += newly;
+    }
+
+    fn end(&mut self) {
+        self.arena.fills[self.slot] += self.newly;
+        self.newly = 0;
     }
 }
 

@@ -79,9 +79,11 @@ const V2_HEADER_LEN: usize = 6;
 /// Trailing XXH64 checksum.
 const CHECKSUM_LEN: usize = 8;
 
+/// A codec rejection. The rules a hostile frame can trip use static
+/// messages, so a refusal allocates nothing.
 #[cold]
-fn fail(msg: impl Into<String>) -> SBitmapError {
-    SBitmapError::invalid("checkpoint", msg.into())
+fn fail(msg: impl Into<std::borrow::Cow<'static, str>>) -> SBitmapError {
+    SBitmapError::invalid("checkpoint", msg)
 }
 
 /// The counter-kind tag stored in every v2 frame.
@@ -349,10 +351,7 @@ impl<'a> PayloadReader<'a> {
     /// Unconsumed trailing bytes.
     pub fn finish(self) -> Result<(), SBitmapError> {
         if self.remaining() != 0 {
-            return Err(fail(format!(
-                "{} trailing bytes after payload",
-                self.remaining()
-            )));
+            return Err(fail("trailing bytes after payload"));
         }
         Ok(())
     }
@@ -428,8 +427,8 @@ pub fn unframe(bytes: &[u8]) -> Result<Frame<'_>, SBitmapError> {
             payload: &body[5..],
         }),
         VERSION_2 => {
-            let kind = CounterKind::from_tag(body[5])
-                .ok_or_else(|| fail(format!("unknown counter kind tag {}", body[5])))?;
+            let kind =
+                CounterKind::from_tag(body[5]).ok_or_else(|| fail("unknown counter kind tag"))?;
             if kind == CounterKind::FleetDelta {
                 return Err(fail("fleet-delta frames require version 3"));
             }
@@ -440,8 +439,8 @@ pub fn unframe(bytes: &[u8]) -> Result<Frame<'_>, SBitmapError> {
             })
         }
         VERSION_3 => {
-            let kind = CounterKind::from_tag(body[5])
-                .ok_or_else(|| fail(format!("unknown counter kind tag {}", body[5])))?;
+            let kind =
+                CounterKind::from_tag(body[5]).ok_or_else(|| fail("unknown counter kind tag"))?;
             if kind != CounterKind::FleetDelta {
                 return Err(fail("version 3 carries only fleet-delta frames"));
             }
@@ -451,7 +450,7 @@ pub fn unframe(bytes: &[u8]) -> Result<Frame<'_>, SBitmapError> {
                 payload: &body[V2_HEADER_LEN..],
             })
         }
-        v => Err(fail(format!("unsupported version {v}"))),
+        _ => Err(fail("unsupported version")),
     }
 }
 
@@ -922,33 +921,230 @@ impl FleetDeltaFrame {
         seal_frame(w.into_inner())
     }
 
-    /// Verify and decode a v3 frame.
+    /// Verify and decode a v3 frame: [`DeltaView::validate`], then copy
+    /// the records into the flat arrays. Validation is the only rule
+    /// set, so decode and the wire-byte absorb path
+    /// ([`crate::WindowedFleet::absorb_delta_view`]) can never disagree
+    /// on a verdict.
+    ///
+    /// The arrays are sized exactly from what validation counted, so
+    /// decode makes at most three allocations — never more, and never
+    /// proportional to a claimed length.
+    ///
+    /// # Errors
+    ///
+    /// See [`DeltaView::validate`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, SBitmapError> {
+        let view = DeltaView::validate(bytes)?;
+        let h = view.header();
+        let mut frame = Self {
+            n_max: h.n_max,
+            m: h.m,
+            sampling_bits: h.sampling_bits,
+            seed: h.seed,
+            epoch: h.epoch,
+            round: h.round,
+            records: Vec::with_capacity(view.shape.count),
+            spans: Vec::with_capacity(view.shape.spans),
+            words: Vec::with_capacity(view.shape.words),
+            records_len: view.records.len(),
+        };
+        view.walk(&mut frame);
+        Ok(frame)
+    }
+
+    /// The frame's configuration key and position in the round chain.
+    pub fn header(&self) -> DeltaHeader {
+        DeltaHeader {
+            n_max: self.n_max,
+            m: self.m,
+            sampling_bits: self.sampling_bits,
+            seed: self.seed,
+            epoch: self.epoch,
+            round: self.round,
+        }
+    }
+}
+
+impl DeltaSource for FleetDeltaFrame {
+    fn header(&self) -> DeltaHeader {
+        FleetDeltaFrame::header(self)
+    }
+
+    fn walk(&self, sink: &mut impl DeltaSink) {
+        for rec in self.records() {
+            sink.key(rec.key, rec.bits, matches!(rec.body, DeltaBody::Runs(_)));
+            match rec.body {
+                DeltaBody::Runs(runs) => {
+                    for (start, words) in runs {
+                        sink.run(start as usize, RunWords::Words(words));
+                    }
+                }
+                DeltaBody::Sparse(positions) => sink.positions(positions),
+            }
+            sink.end();
+        }
+    }
+}
+
+/// Decode materializes a frame by walking its validated view.
+impl DeltaSink for FleetDeltaFrame {
+    fn key(&mut self, key: u64, bits: u32, runs: bool) {
+        self.records.push(RecordHeader {
+            key,
+            bits,
+            mode: if runs {
+                DELTA_MODE_RUNS
+            } else {
+                DELTA_MODE_SPARSE
+            },
+            lo: self.spans.len(),
+            hi: self.spans.len(),
+            word_lo: self.words.len(),
+            word_hi: self.words.len(),
+        });
+    }
+
+    fn run(&mut self, start: usize, words: RunWords<'_>) {
+        let RunWords::Le(raw) = words else {
+            unreachable!("a view hands over wire bytes")
+        };
+        self.spans.extend([start as u32, (raw.len() / 8) as u32]);
+        self.words.extend(
+            raw.chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
+        );
+    }
+
+    fn positions(&mut self, positions: &[u32]) {
+        self.spans.extend_from_slice(positions);
+    }
+
+    fn end(&mut self) {
+        let (hi, word_hi) = (self.spans.len(), self.words.len());
+        let h = self.records.last_mut().expect("open record");
+        h.hi = hi;
+        h.word_hi = word_hi;
+    }
+}
+
+/// The fixed header of a v3 delta frame: the configuration key the
+/// receiver must share, and the frame's place in the round chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaHeader {
+    /// Dimensioning `n_max` of the shard's schedule.
+    pub n_max: u64,
+    /// Bits per key.
+    pub m: usize,
+    /// Sampling split bits (`d`).
+    pub sampling_bits: u32,
+    /// The fleet seed.
+    pub seed: u64,
+    /// Absolute epoch.
+    pub epoch: u64,
+    /// Round within the epoch (0 = baseline reset).
+    pub round: u32,
+}
+
+/// One run's words as a record walk hands them over: straight from the
+/// wire, or from a decoded frame's word array.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RunWords<'a> {
+    /// Little-endian wire bytes, 8 per word.
+    Le(&'a [u8]),
+    /// Decoded words.
+    Words(&'a [u64]),
+}
+
+impl RunWords<'_> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            RunWords::Le(raw) => raw.len() / 8,
+            RunWords::Words(words) => words.len(),
+        }
+    }
+}
+
+/// What a record walk feeds: for each record, `key` (with the record's
+/// `bits` header and whether it is run-coded), then its runs or its
+/// sparse positions in ascending order, then `end`. Every run lies
+/// inside the stride and every position below `m` of the walked frame.
+pub(crate) trait DeltaSink {
+    fn key(&mut self, key: u64, bits: u32, runs: bool);
+    fn run(&mut self, start: usize, words: RunWords<'_>);
+    fn positions(&mut self, positions: &[u32]);
+    fn end(&mut self);
+}
+
+/// A delta frame the ring can absorb: a decoded [`FleetDeltaFrame`] or
+/// a validated [`DeltaView`]. Both absorb through the same checks and
+/// the same sink.
+pub(crate) trait DeltaSource {
+    fn header(&self) -> DeltaHeader;
+    fn walk(&self, sink: &mut impl DeltaSink);
+}
+
+/// Validation walks into nothing.
+impl DeltaSink for () {
+    fn key(&mut self, _: u64, _: u32, _: bool) {}
+    fn run(&mut self, _: usize, _: RunWords<'_>) {}
+    fn positions(&mut self, _: &[u32]) {}
+    fn end(&mut self) {}
+}
+
+/// What validation learned about a frame besides its header: how many
+/// records it carries, and the sparse positions plus run `(start, len)`
+/// entries (`spans`) and run words (`words`) they hold — the exact
+/// sizes [`FleetDeltaFrame::decode`] allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Shape {
+    header: DeltaHeader,
+    count: usize,
+    spans: usize,
+    words: usize,
+}
+
+/// Offset of the first record in a v3 frame: frame header, then payload
+/// header.
+const DELTA_RECORDS_AT: usize = V2_HEADER_LEN + DELTA_HEADER_LEN;
+
+/// A v3 fleet-delta frame checked in place: [`DeltaView::validate`]
+/// makes one pass over the wire bytes, allocates nothing, and enforces
+/// every rule of the format. The view then hands its records straight
+/// from those bytes to the ring
+/// ([`crate::WindowedFleet::absorb_delta_view`]) — an S-bitmap bit only
+/// ever goes from 0 to 1, so the checked bytes already are the absorb
+/// input, and no decoded copy is made.
+///
+/// The header is read off the view without walking the body.
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaView<'a> {
+    shape: Shape,
+    /// Every record, heads and bodies, as on the wire.
+    records: &'a [u8],
+}
+
+impl<'a> DeltaView<'a> {
+    /// Verify a v3 frame without copying it.
     ///
     /// Every structural lie is rejected *before* the work it would
     /// drive: `m` is capped at [`MAX_WIRE_M`] ahead of any stride math,
     /// record/run counts are bounded by the bytes actually remaining,
-    /// runs must be ascending and non-overlapping within the stride,
-    /// sparse positions strictly increasing below `m`, no run word may
-    /// set a bit at or beyond `m`, and the per-record `bits` header
-    /// must equal the popcount of the decoded body.
-    ///
-    /// One pass over the bytes validates and fills the flat arrays.
-    /// Their sizes are bounded by the wire bytes left after the record
-    /// heads (a sparse position takes at least one byte, a run word
-    /// eight), so decode makes three allocations reserved up front —
-    /// never more, and never proportional to a claimed length.
+    /// keys must be strictly increasing, runs ascending and
+    /// non-overlapping within the stride, sparse positions strictly
+    /// increasing below `m`, no run word may set a bit at or beyond
+    /// `m`, and the per-record `bits` header must equal the popcount of
+    /// the body. A record's body may not reach into the bytes later
+    /// record heads need.
     ///
     /// # Errors
     ///
     /// Corrupt frames (see [`unframe`]), a non-v3 frame, or any payload
     /// violation above.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SBitmapError> {
+    pub fn validate(bytes: &'a [u8]) -> Result<Self, SBitmapError> {
         let f = unframe(bytes)?;
         if f.kind != CounterKind::FleetDelta {
-            return Err(fail(format!(
-                "frame holds a {}, expected a fleet-delta",
-                f.kind
-            )));
+            return Err(fail("frame is not a fleet-delta frame"));
         }
         let mut r = PayloadReader::new(f.payload);
         let n_max = r.u64()?;
@@ -968,151 +1164,295 @@ impl FleetDeltaFrame {
         if count > r.remaining() / RECORD_HEAD_LEN {
             return Err(fail("record count exceeds the payload"));
         }
-        // Everything past the record heads is body bytes, and they bound
-        // both arrays: a sparse position takes at least one of them, a
-        // run's (start, len) pair eight, a run word eight.
-        let body_bytes = r.remaining() - count * RECORD_HEAD_LEN;
-        let mut frame = Self {
-            n_max,
-            m,
-            sampling_bits,
-            seed,
-            epoch,
-            round,
-            records: Vec::with_capacity(count),
-            spans: Vec::with_capacity(body_bytes),
-            words: Vec::with_capacity(body_bytes / 8),
-            records_len: r.remaining(),
-        };
-        let mut last_key: Option<u64> = None;
-        for _ in 0..count {
-            let key = r.u64()?;
-            if last_key.is_some_and(|l| key <= l) {
-                return Err(fail("delta record keys must be strictly increasing"));
-            }
-            last_key = Some(key);
-            let bits = r.u32()?;
-            if bits as usize > m {
-                return Err(fail("record declares more set bits than m"));
-            }
-            let mode = r.u8()?;
-            let (lo, word_lo) = (frame.spans.len(), frame.words.len());
-            match mode {
-                DELTA_MODE_RUNS => frame.read_runs(&mut r, bits)?,
-                DELTA_MODE_SPARSE => frame.read_sparse(&mut r, bits)?,
-                other => return Err(fail(format!("unknown delta body mode {other}"))),
-            }
-            frame.records.push(RecordHeader {
-                key,
-                bits,
-                mode,
-                lo,
-                hi: frame.spans.len(),
-                word_lo,
-                word_hi: frame.words.len(),
-            });
-        }
-        r.finish()?;
-        Ok(frame)
+        let records = &f.payload[r.pos..];
+        let (spans, words) = walk_records::<true>(r, m, count, &mut ())?;
+        Ok(Self {
+            shape: Shape {
+                header: DeltaHeader {
+                    n_max,
+                    m,
+                    sampling_bits,
+                    seed,
+                    epoch,
+                    round,
+                },
+                count,
+                spans,
+                words,
+            },
+            records,
+        })
     }
 
-    /// Decode one runs-mode body onto the flat arrays.
-    fn read_runs(&mut self, r: &mut PayloadReader<'_>, bits: u32) -> Result<(), SBitmapError> {
-        let m = self.m;
-        let stride = m.div_ceil(64);
-        let runs = r.u32()? as usize;
-        // Every run is at least start + len + one word. (The arrays were
-        // reserved for the frame's body bytes, which back every run of
-        // a valid frame; a body reaching into later records' heads is
-        // refused here rather than growing them.)
-        if runs > r.remaining() / 16 || 2 * runs > self.spans.capacity() - self.spans.len() {
-            return Err(fail("run count exceeds the payload"));
+    /// The frame's configuration key and position in the round chain.
+    pub fn header(&self) -> DeltaHeader {
+        self.shape.header
+    }
+
+    /// Number of per-key records.
+    pub fn len(&self) -> usize {
+        self.shape.count
+    }
+
+    /// `true` when the frame carries no record.
+    pub fn is_empty(&self) -> bool {
+        self.shape.count == 0
+    }
+}
+
+impl DeltaSource for DeltaView<'_> {
+    fn header(&self) -> DeltaHeader {
+        self.shape.header
+    }
+
+    /// Hand every record to `sink`, straight from the wire bytes. The
+    /// checks already ran in [`DeltaView::validate`]; this pass only
+    /// reads.
+    fn walk(&self, sink: &mut impl DeltaSink) {
+        walk_records::<false>(
+            PayloadReader::new(self.records),
+            self.shape.header.m,
+            self.shape.count,
+            sink,
+        )
+        .expect("a validated frame walks cleanly");
+    }
+}
+
+/// An owned v3 frame that passed [`DeltaView::validate`]: the wire bytes
+/// plus what validation read from them. Only validation builds one, so
+/// a consumer on another thread — the daemon's ring writer — applies it
+/// through [`CheckedDelta::view`] without checking again.
+#[derive(Debug, Clone)]
+pub struct CheckedDelta {
+    bytes: Vec<u8>,
+    shape: Shape,
+}
+
+impl CheckedDelta {
+    /// Validate `bytes` (see [`DeltaView::validate`]) and keep them.
+    ///
+    /// # Errors
+    ///
+    /// See [`DeltaView::validate`].
+    pub fn new(bytes: Vec<u8>) -> Result<Self, SBitmapError> {
+        let shape = DeltaView::validate(&bytes)?.shape;
+        Ok(Self { bytes, shape })
+    }
+
+    /// The frame's configuration key and position in the round chain.
+    pub fn header(&self) -> DeltaHeader {
+        self.shape.header
+    }
+
+    /// The frame exactly as it arrived.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The validated view of the bytes (no second check).
+    pub fn view(&self) -> DeltaView<'_> {
+        DeltaView {
+            shape: self.shape,
+            records: &self.bytes[DELTA_RECORDS_AT..self.bytes.len() - CHECKSUM_LEN],
         }
-        let mut cursor = 0usize;
-        let mut pop = 0u64;
-        for _ in 0..runs {
-            let start = r.u32()?;
-            let len = r.u32()?;
+    }
+}
+
+/// Walk `count` records from `r` into `sink`. With `CHECK`, every rule
+/// of the format is enforced, in a fixed order, and `sink` only ever
+/// sees what passed; without it the bytes must have passed a checked
+/// walk before. Returns the spans and run words the records hold.
+///
+/// The body bytes (everything past the record heads) bound both: a
+/// sparse position takes at least one of them, a run's `(start, len)`
+/// pair eight, a run word eight. A body that would push either count
+/// past its bound reaches into later records' heads and is refused.
+fn walk_records<const CHECK: bool>(
+    mut r: PayloadReader<'_>,
+    m: usize,
+    count: usize,
+    sink: &mut impl DeltaSink,
+) -> Result<(usize, usize), SBitmapError> {
+    let body_bytes = r.remaining() - count * RECORD_HEAD_LEN;
+    let mut budget = Budget {
+        spans: body_bytes,
+        words: body_bytes / 8,
+    };
+    let mut last_key: Option<u64> = None;
+    for _ in 0..count {
+        let key = r.u64()?;
+        if CHECK && last_key.is_some_and(|l| key <= l) {
+            return Err(fail("delta record keys must be strictly increasing"));
+        }
+        last_key = Some(key);
+        let bits = r.u32()?;
+        if CHECK && bits as usize > m {
+            return Err(fail("record declares more set bits than m"));
+        }
+        let mode = r.u8()?;
+        if !matches!(mode, DELTA_MODE_RUNS | DELTA_MODE_SPARSE) {
+            return Err(fail("unknown delta body mode"));
+        }
+        sink.key(key, bits, mode == DELTA_MODE_RUNS);
+        if mode == DELTA_MODE_RUNS {
+            walk_runs::<CHECK>(&mut r, m, bits, &mut budget, sink)?;
+        } else {
+            walk_sparse::<CHECK>(&mut r, m, bits, &mut budget, sink)?;
+        }
+        sink.end();
+    }
+    if CHECK {
+        r.finish()?;
+    }
+    Ok((body_bytes - budget.spans, body_bytes / 8 - budget.words))
+}
+
+/// Spans and run words a frame's body bytes can still back.
+struct Budget {
+    spans: usize,
+    words: usize,
+}
+
+/// Walk one runs-mode body.
+fn walk_runs<const CHECK: bool>(
+    r: &mut PayloadReader<'_>,
+    m: usize,
+    bits: u32,
+    budget: &mut Budget,
+    sink: &mut impl DeltaSink,
+) -> Result<(), SBitmapError> {
+    let stride = m.div_ceil(64);
+    let runs = r.u32()? as usize;
+    // Every run is at least start + len + one word.
+    if CHECK && (runs > r.remaining() / 16 || 2 * runs > budget.spans) {
+        return Err(fail("run count exceeds the payload"));
+    }
+    budget.spans -= 2 * runs;
+    let mut cursor = 0usize;
+    let mut pop = 0u64;
+    for _ in 0..runs {
+        let start = r.u32()? as usize;
+        let len = r.u32()? as usize;
+        if CHECK {
             if len == 0 {
                 return Err(fail("empty run"));
             }
-            if (start as usize) < cursor {
+            if start < cursor {
                 return Err(fail("runs must be ascending and non-overlapping"));
             }
-            let end = (start as usize)
-                .checked_add(len as usize)
+            cursor = start
+                .checked_add(len)
                 .filter(|&e| e <= stride)
                 .ok_or_else(|| fail("run extends past the bitmap"))?;
-            if len as usize > r.remaining() / 8
-                || len as usize > self.words.capacity() - self.words.len()
-            {
+            if len > r.remaining() / 8 || len > budget.words {
                 return Err(fail("run length exceeds the payload"));
             }
-            let raw = r.take(len as usize * 8)?;
-            let first = self.words.len();
-            self.words.extend(
-                raw.chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
-            );
-            let run = &self.words[first..];
-            if end == stride && !m.is_multiple_of(64) {
-                let tail_mask = !((1u64 << (m % 64)) - 1);
-                if run[run.len() - 1] & tail_mask != 0 {
+        }
+        budget.words -= len;
+        let raw = r.take(len * 8)?;
+        if CHECK {
+            if cursor == stride && !m.is_multiple_of(64) {
+                let last = u64::from_le_bytes(raw[raw.len() - 8..].try_into().expect("8 bytes"));
+                if last & !((1u64 << (m % 64)) - 1) != 0 {
                     return Err(fail("run sets bits at or beyond m"));
                 }
             }
-            pop += sbitmap_bitvec::kernels::popcount_slice(run) as u64;
-            cursor = end;
-            self.spans.extend([start, len]);
+            pop += sbitmap_bitvec::kernels::WordKernels::dispatched().popcount_bytes(raw) as u64;
         }
-        if pop != u64::from(bits) {
-            return Err(fail("bits header disagrees with run payload"));
-        }
+        sink.run(start, RunWords::Le(raw));
+    }
+    if CHECK && pop != u64::from(bits) {
+        return Err(fail("bits header disagrees with run payload"));
+    }
+    Ok(())
+}
+
+/// Walk one sparse-mode body: with `CHECK`, validate it (handing
+/// nothing to `sink`); without, hand its positions to `sink`.
+fn walk_sparse<const CHECK: bool>(
+    r: &mut PayloadReader<'_>,
+    m: usize,
+    bits: u32,
+    budget: &mut Budget,
+    sink: &mut impl DeltaSink,
+) -> Result<(), SBitmapError> {
+    // Every position is at least one varint byte of the body bytes.
+    if CHECK && (bits as usize > r.remaining() || bits as usize > budget.spans) {
+        return Err(fail("position count exceeds the payload"));
+    }
+    budget.spans -= bits as usize;
+    if CHECK {
+        check_sparse(r, m as u64, bits)
+    } else {
+        read_sparse(r, bits, sink);
         Ok(())
     }
+}
 
-    /// Decode one sparse-mode body onto the flat arrays.
-    fn read_sparse(&mut self, r: &mut PayloadReader<'_>, bits: u32) -> Result<(), SBitmapError> {
-        // Every position is at least one varint byte (of the body bytes
-        // the arrays were reserved for, see `read_runs`).
-        if bits as usize > r.remaining() || bits as usize > self.spans.capacity() - self.spans.len()
-        {
-            return Err(fail("position count exceeds the payload"));
-        }
-        let m = self.m as u64;
-        let mut pos = 0u64;
-        let mut at = r.pos;
-        for i in 0..bits {
-            let gap = match r.bytes.get(at..at + 2) {
-                // A one- or two-byte varint (every gap when m <= 16384),
-                // decoded with no branch on which: sparse gaps mix the
-                // two lengths unpredictably.
-                Some(&[b0, b1]) if b0 & b1 & 0x80 == 0 => {
-                    let two = b0 >> 7;
-                    at += 1 + usize::from(two);
-                    u64::from(b0 & 0x7f)
-                        | (u64::from(b1 & 0x7f) << 7) & u64::from(two).wrapping_neg()
-                }
-                _ => {
-                    r.pos = at;
-                    let gap = r.varint()?;
-                    at = r.pos;
-                    gap
-                }
-            };
-            if i > 0 && gap == 0 {
-                return Err(fail("sparse positions must be strictly increasing"));
+/// Sparse positions decoded per word-kernel call, and the buffer they
+/// land in (the kernel may write up to seven past the last).
+const POSITIONS_PER_CALL: usize = 64;
+const POSITION_BUF: usize = POSITIONS_PER_CALL + 8;
+
+/// Validate `bits` sparse positions: strictly increasing, below `m`.
+/// The word kernel checks the common one- and two-byte gaps in bulk,
+/// summing them (positions ascend, so the last bounds them all); the
+/// one-varint step takes whatever it leaves — longer varints, the
+/// payload's last bytes, a zero gap — and reports every refusal. Once a
+/// bulk sum reaches `m`, the step takes the rest of the record, so a
+/// hostile record costs one pass, not one per gap.
+fn check_sparse(r: &mut PayloadReader<'_>, m: u64, bits: u32) -> Result<(), SBitmapError> {
+    let kernels = sbitmap_bitvec::kernels::WordKernels::dispatched();
+    let mut pos = 0u64;
+    let mut i = 0u32;
+    let mut bulk = true;
+    while i < bits {
+        if bulk {
+            let (n, next, sum) = kernels.varint_check(r.bytes, r.pos, i == 0, (bits - i) as usize);
+            // `pos < m` holds, so this is `pos + sum < m`.
+            if n > 0 && sum < m - pos {
+                pos += sum;
+                i += n as u32;
+                r.pos = next;
+                continue;
             }
-            // `pos < m` on entry, so this is `pos + gap >= m` without
-            // the overflow.
-            if gap >= m - pos {
-                return Err(fail("sparse position at or beyond m"));
-            }
-            pos += gap;
-            self.spans.push(pos as u32);
+            bulk = n == 0;
         }
-        r.pos = at;
-        Ok(())
+        let gap = r.varint()?;
+        if i > 0 && gap == 0 {
+            return Err(fail("sparse positions must be strictly increasing"));
+        }
+        // `pos < m` holds, so this is `pos + gap >= m` without the
+        // overflow.
+        if gap >= m - pos {
+            return Err(fail("sparse position at or beyond m"));
+        }
+        pos += gap;
+        i += 1;
+    }
+    Ok(())
+}
+
+/// Hand `bits` validated sparse positions to `sink`, a kernel call's
+/// worth at a time.
+fn read_sparse(r: &mut PayloadReader<'_>, bits: u32, sink: &mut impl DeltaSink) {
+    let kernels = sbitmap_bitvec::kernels::WordKernels::dispatched();
+    let mut buf = [0u32; POSITION_BUF];
+    let mut pos = 0u32;
+    let mut i = 0u32;
+    while i < bits {
+        let room = ((bits - i) as usize).min(POSITIONS_PER_CALL);
+        let (mut n, next) = kernels.varint_positions(r.bytes, r.pos, pos, &mut buf, room);
+        r.pos = next;
+        if n == 0 {
+            pos += r.varint().expect("validated varint") as u32;
+            buf[0] = pos;
+            n = 1;
+        }
+        pos = buf[n - 1];
+        i += n as u32;
+        sink.positions(&buf[..n]);
     }
 }
 

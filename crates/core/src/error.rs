@@ -1,5 +1,7 @@
 //! Error type for configuration and construction failures.
 
+use std::borrow::Cow;
+
 /// Errors produced when configuring or building sketches.
 ///
 /// The hot paths (insert/estimate) are infallible by construction; all
@@ -10,8 +12,9 @@ pub enum SBitmapError {
     InvalidParameter {
         /// Which parameter was rejected.
         name: &'static str,
-        /// Human-readable explanation.
-        reason: String,
+        /// Human-readable explanation (a static string where the
+        /// rejection must not allocate, as in wire-frame validation).
+        reason: Cow<'static, str>,
     },
     /// The numeric solver for `C` failed to bracket or converge.
     SolverFailure(String),
@@ -63,7 +66,7 @@ impl std::error::Error for SBitmapError {}
 
 impl SBitmapError {
     /// Convenience constructor for parameter errors.
-    pub fn invalid(name: &'static str, reason: impl Into<String>) -> Self {
+    pub fn invalid(name: &'static str, reason: impl Into<Cow<'static, str>>) -> Self {
         SBitmapError::InvalidParameter {
             name,
             reason: reason.into(),

@@ -168,18 +168,47 @@ fn io_err(context: &str, e: &std::io::Error) -> JournalError {
 // Record codec
 // ---------------------------------------------------------------------
 
+/// A journal record borrowed from the bytes it was read from — what a
+/// replay walks without copying each payload out of the segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// Agent id the frame arrived from.
+    pub source: u64,
+    /// Ring epoch the frame was absorbed into.
+    pub epoch: u64,
+    /// The complete SBMP frame bytes.
+    pub payload: &'a [u8],
+}
+
+impl RecordRef<'_> {
+    /// An owned copy.
+    pub fn to_record(&self) -> JournalRecord {
+        JournalRecord {
+            source: self.source,
+            epoch: self.epoch,
+            payload: self.payload.to_vec(),
+        }
+    }
+}
+
 /// Encode one record: header, payload, trailing XXH64.
 pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + rec.payload.len() + CHECKSUM_LEN);
+    encode_record_parts(rec.source, rec.epoch, &rec.payload)
+}
+
+/// [`encode_record`] from borrowed parts: the one copy of `payload` is
+/// the one into the record image.
+pub fn encode_record_parts(source: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len() + CHECKSUM_LEN);
     out.extend_from_slice(RECORD_MAGIC);
-    out.extend_from_slice(&rec.source.to_le_bytes());
-    out.extend_from_slice(&rec.epoch.to_le_bytes());
+    out.extend_from_slice(&source.to_le_bytes());
+    out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(
-        &u32::try_from(rec.payload.len())
+        &u32::try_from(payload.len())
             .expect("payload < 4 GiB")
             .to_le_bytes(),
     );
-    out.extend_from_slice(&rec.payload);
+    out.extend_from_slice(payload);
     let checksum = xxh64(&out, 0);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
@@ -189,7 +218,7 @@ pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
 /// and the bytes it consumed, or `None` when the front of `bytes` is not
 /// a complete valid record (truncated, bad magic, absurd length, or
 /// checksum mismatch) — the scan-stopping condition.
-fn decode_record_front(bytes: &[u8]) -> Option<(JournalRecord, usize)> {
+fn decode_record_front(bytes: &[u8]) -> Option<(RecordRef<'_>, usize)> {
     if bytes.len() < RECORD_HEADER_LEN + CHECKSUM_LEN || &bytes[0..4] != RECORD_MAGIC {
         return None;
     }
@@ -213,10 +242,10 @@ fn decode_record_front(bytes: &[u8]) -> Option<(JournalRecord, usize)> {
         return None;
     }
     Some((
-        JournalRecord {
+        RecordRef {
             source,
             epoch,
-            payload: bytes[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len].to_vec(),
+            payload: &bytes[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len],
         },
         total,
     ))
@@ -232,7 +261,7 @@ fn decode_record_front(bytes: &[u8]) -> Option<(JournalRecord, usize)> {
 /// garbage).
 pub fn decode_record(bytes: &[u8]) -> Result<JournalRecord, JournalError> {
     match decode_record_front(bytes) {
-        Some((rec, used)) if used == bytes.len() => Ok(rec),
+        Some((rec, used)) if used == bytes.len() => Ok(rec.to_record()),
         _ => Err(JournalError::Corrupt(
             "invalid replication record image".into(),
         )),
@@ -331,24 +360,56 @@ pub struct SegmentScan {
 /// reported via [`SegmentScan::trailing_discarded`].
 pub fn scan_segment_bytes(bytes: &[u8]) -> Result<SegmentScan, JournalError> {
     let (config, seq, term) = decode_segment_header(bytes)?;
-    let mut rest = &bytes[SEGMENT_HEADER_LEN..];
-    let mut records = Vec::new();
-    while !rest.is_empty() {
-        match decode_record_front(rest) {
-            Some((rec, used)) => {
-                records.push(rec);
-                rest = &rest[used..];
-            }
-            None => break,
-        }
-    }
+    let mut walk = SegmentRecords {
+        rest: &bytes[SEGMENT_HEADER_LEN..],
+    };
+    let records = walk.by_ref().map(|rec| rec.to_record()).collect();
     Ok(SegmentScan {
         seq,
         term,
         config,
         records,
-        trailing_discarded: rest.len(),
+        trailing_discarded: walk.trailing(),
     })
+}
+
+/// The valid records of a whole segment image, borrowed in append order
+/// — [`scan_segment_bytes`] without the per-record payload copies. The
+/// header is verified up front; the walk ends at the first truncated or
+/// corrupt record, like a scan.
+///
+/// # Errors
+///
+/// [`JournalError::Corrupt`] when the header is invalid.
+pub fn segment_records(bytes: &[u8]) -> Result<SegmentRecords<'_>, JournalError> {
+    decode_segment_header(bytes)?;
+    Ok(SegmentRecords {
+        rest: &bytes[SEGMENT_HEADER_LEN..],
+    })
+}
+
+/// Iterator over a segment's valid records (see [`segment_records`]).
+#[derive(Debug, Clone)]
+pub struct SegmentRecords<'a> {
+    rest: &'a [u8],
+}
+
+impl SegmentRecords<'_> {
+    /// Bytes not yet walked: after the walk ends, the torn or corrupt
+    /// tail it discarded.
+    pub fn trailing(&self) -> usize {
+        self.rest.len()
+    }
+}
+
+impl<'a> Iterator for SegmentRecords<'a> {
+    type Item = RecordRef<'a>;
+
+    fn next(&mut self) -> Option<RecordRef<'a>> {
+        let (rec, used) = decode_record_front(self.rest)?;
+        self.rest = &self.rest[used..];
+        Some(rec)
+    }
 }
 
 /// Read and scan one segment file.

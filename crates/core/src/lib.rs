@@ -70,7 +70,10 @@ pub mod theory;
 pub mod window;
 
 pub use arena::FleetArena;
-pub use codec::{Checkpoint, CounterKind, DeltaBody, DeltaRecord, DeltaRuns, FleetDeltaFrame};
+pub use codec::{
+    CheckedDelta, Checkpoint, CounterKind, DeltaBody, DeltaHeader, DeltaRecord, DeltaRuns,
+    DeltaView, FleetDeltaFrame,
+};
 pub use concurrent::ConcurrentSBitmap;
 pub use counter::{BatchedCounter, DistinctCounter, KeyedEstimates, MergeableCounter};
 pub use dimensioning::Dimensioning;

@@ -89,7 +89,9 @@ use sbitmap_bitvec::Bitmap;
 use sbitmap_hash::{FromSeed, Hasher64, SplitMix64Hasher};
 
 use crate::arena::FleetArena;
-use crate::codec::{Checkpoint, CounterKind, FleetDeltaFrame, PayloadReader, PayloadWriter};
+use crate::codec::{
+    Checkpoint, CounterKind, DeltaSource, DeltaView, FleetDeltaFrame, PayloadReader, PayloadWriter,
+};
 use crate::counter::KeyedEstimates;
 use crate::fleet::sketch_seed;
 use crate::schedule::RateSchedule;
@@ -898,16 +900,18 @@ impl<H: Hasher64 + FromSeed> WindowedFleet<H> {
         Ok(())
     }
 
-    /// Absorb a wire-v3 [`FleetDeltaFrame`] incrementally into the ring:
-    /// every record is OR-applied straight onto the epoch arena's words
-    /// through the word kernels — no full-frame materialization, no
-    /// intermediate arena. The at-least-once guard works per `(source,
-    /// round)`: replays come back as [`AbsorbOutcome::Duplicate`], late
-    /// frames for expired epochs as [`AbsorbOutcome::Expired`], and a
-    /// round > 0 whose `(source, epoch)` baseline (round 0) has not been
-    /// absorbed is rejected with [`SBitmapError::MissingBaseline`] after
-    /// nothing more than two map lookups — the sender must resync from a
-    /// baseline frame.
+    /// Absorb a validated wire-v3 delta frame incrementally into the
+    /// ring: every record is OR-applied straight from the checked wire
+    /// bytes onto the epoch arena's words through the word kernels — no
+    /// decoded copy, no intermediate arena. The at-least-once guard
+    /// works per `(source, round)`: replays come back as
+    /// [`AbsorbOutcome::Duplicate`], late frames for expired epochs as
+    /// [`AbsorbOutcome::Expired`], and a round > 0 whose `(source,
+    /// epoch)` baseline (round 0) has not been absorbed is rejected with
+    /// [`SBitmapError::MissingBaseline`] after nothing more than two map
+    /// lookups — the sender must resync from a baseline frame. Every
+    /// check runs before the first ring write: a refused frame leaves
+    /// the ring untouched.
     ///
     /// Correctness under duplication and reorder: within an epoch the
     /// S-bitmap only sets bits, so round frames carry disjoint
@@ -922,16 +926,17 @@ impl<H: Hasher64 + FromSeed> WindowedFleet<H> {
     ///
     /// A future epoch (drive the ring with [`WindowedFleet::advance_to`]
     /// first), a configuration/seed mismatch between the frame and the
-    /// ring, or a broken delta chain ([`SBitmapError::MissingBaseline`]).
-    pub fn absorb_delta_from(
+    /// ring, a full guard ([`SBitmapError::GuardFull`]), or a broken
+    /// delta chain ([`SBitmapError::MissingBaseline`]).
+    pub fn absorb_delta_view(
         &mut self,
         source: u64,
-        frame: &FleetDeltaFrame,
+        view: &DeltaView<'_>,
     ) -> Result<AbsorbOutcome, SBitmapError> {
-        self.absorb_delta_inner(source, frame, true)
+        self.absorb_delta(source, view, true)
     }
 
-    /// [`WindowedFleet::absorb_delta_from`] minus the baseline
+    /// [`WindowedFleet::absorb_delta_view`] minus the baseline
     /// requirement — the journal-replay entry point.
     ///
     /// A write-ahead journal only records frames *after* they were
@@ -947,22 +952,52 @@ impl<H: Hasher64 + FromSeed> WindowedFleet<H> {
     ///
     /// # Errors
     ///
-    /// Same as [`WindowedFleet::absorb_delta_from`], except
+    /// Same as [`WindowedFleet::absorb_delta_view`], except
     /// [`SBitmapError::MissingBaseline`] is never raised.
+    pub fn absorb_delta_view_replay(
+        &mut self,
+        source: u64,
+        view: &DeltaView<'_>,
+    ) -> Result<AbsorbOutcome, SBitmapError> {
+        self.absorb_delta(source, view, false)
+    }
+
+    /// [`WindowedFleet::absorb_delta_view`] for a decoded
+    /// [`FleetDeltaFrame`]: the same checks, guard and sink, fed from
+    /// the frame's arrays.
+    ///
+    /// # Errors
+    ///
+    /// See [`WindowedFleet::absorb_delta_view`].
+    pub fn absorb_delta_from(
+        &mut self,
+        source: u64,
+        frame: &FleetDeltaFrame,
+    ) -> Result<AbsorbOutcome, SBitmapError> {
+        self.absorb_delta(source, frame, true)
+    }
+
+    /// [`WindowedFleet::absorb_delta_view_replay`] for a decoded
+    /// [`FleetDeltaFrame`].
+    ///
+    /// # Errors
+    ///
+    /// See [`WindowedFleet::absorb_delta_view_replay`].
     pub fn absorb_delta_replay(
         &mut self,
         source: u64,
         frame: &FleetDeltaFrame,
     ) -> Result<AbsorbOutcome, SBitmapError> {
-        self.absorb_delta_inner(source, frame, false)
+        self.absorb_delta(source, frame, false)
     }
 
-    fn absorb_delta_inner(
+    fn absorb_delta(
         &mut self,
         source: u64,
-        frame: &FleetDeltaFrame,
+        delta: &impl DeltaSource,
         require_baseline: bool,
     ) -> Result<AbsorbOutcome, SBitmapError> {
+        let frame = delta.header();
         let schedule = self.schedule();
         let dims = schedule.dims();
         if frame.n_max != dims.n_max()
@@ -1003,9 +1038,7 @@ impl<H: Hasher64 + FromSeed> WindowedFleet<H> {
             });
         }
         self.check_guard_capacity(slot, frame.epoch)?;
-        for rec in frame.records() {
-            self.ring[slot].or_apply_delta(rec.key, rec.body);
-        }
+        delta.walk(&mut self.ring[slot].delta_sink());
         self.seen[slot].insert((source, frame.round));
         Ok(AbsorbOutcome::Absorbed)
     }

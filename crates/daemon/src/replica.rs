@@ -5,15 +5,16 @@
 //! `Role::Replicate` hello. The primary answers with a catch-up
 //! `ReplicateSnapshot` (a full ring checkpoint), then ships every
 //! subsequently journaled record as a `Replicate` frame — the exact
-//! `SBJR` bytes it appended to its own segment. Each record is decoded,
-//! routed through the absorber's job queue (the single-writer
-//! discipline is preserved: the replication client never touches the
-//! ring directly), journaled locally, and only then answered by the
+//! `SBJR` bytes it appended to its own segment. Each record's frame is
+//! validated on the follow thread, routed through the absorber's job
+//! queue (the single-writer discipline is preserved: the replication
+//! client never touches the ring directly), ORed into the ring from its
+//! wire bytes, journaled locally, and only then answered by the
 //! absorber with a `ReplicateAck` carrying the record's seq — so the
 //! primary's "acked ⇒ replicated" guarantee means *durable on the
 //! standby*, not just received.
 //!
-//! Records ride the replay absorb path (`absorb_delta_replay`): the
+//! Records ride the replay absorb path (`absorb_delta_view_replay`): the
 //! primary's journal order already proved every delta chain, and the
 //! chain's baseline may live only inside the catch-up snapshot here.
 //! Overlap between the snapshot and the stream replays as OR-idempotent
@@ -30,7 +31,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use sbitmap_core::journal;
-use sbitmap_core::FleetDeltaFrame;
+use sbitmap_core::{CheckedDelta, DeltaView};
 use sbitmap_stream::net::{self, FrameReader, Message, ReadEvent, Role, PROTO_VERSION};
 
 use crate::server::{FrameJob, Job, Shared};
@@ -137,7 +138,7 @@ fn follow_once(shared: &Arc<Shared>, addr: &str, job_tx: &mpsc::SyncSender<Job>)
 
 /// The post-handshake follow loop: snapshot, then records.
 ///
-/// The loop is pipelined and fully event-driven: each decoded record is
+/// The loop is pipelined and fully event-driven: each validated record is
 /// queued to the absorber immediately, its seq riding in the job (the
 /// bounded job queue is the only backpressure). The absorber answers
 /// every record with its `ReplicateAck`, and a dedicated *ack pump*
@@ -172,7 +173,7 @@ fn follow_stream(
     end
 }
 
-/// The follow loop's read half: decode, fence, and queue each record to
+/// The follow loop's read half: validate, fence, and queue each record to
 /// the absorber with its seq.
 fn follow_reads(
     shared: &Arc<Shared>,
@@ -223,15 +224,17 @@ fn follow_reads(
                     // transport-level fault; resync from scratch.
                     return FollowEnd::Retry;
                 };
-                let Ok(payload) = decode_payload(&rec) else {
+                let Ok(frame) = CheckedDelta::new(rec.payload) else {
                     return FollowEnd::Retry;
                 };
+                if frame.header().epoch != rec.epoch {
+                    return FollowEnd::Retry;
+                }
                 if job_tx
                     .send(Job::Frame(FrameJob {
                         epoch: rec.epoch,
                         agent: rec.source,
-                        payload,
-                        wire: rec.payload,
+                        frame,
                         repl_seq: Some(seq),
                         ack: ack_tx.clone(),
                     }))
@@ -306,17 +309,18 @@ fn wait_done(
     }
 }
 
-/// Decode a replicated or journaled record's v3 delta frame the same
-/// way the ingest path does, refusing envelopes that disagree with
-/// their contents. Only tag-11 records qualify: a primary of this build
-/// never journals anything else, and catch-up ships a snapshot, not old
-/// records.
-pub(crate) fn decode_payload(rec: &journal::JournalRecord) -> Result<FleetDeltaFrame, ()> {
-    let frame = FleetDeltaFrame::decode(&rec.payload).map_err(|_| ())?;
-    if frame.epoch != rec.epoch {
+/// Validate a journaled record's v3 delta frame in place the same way
+/// the ingest path does, refusing a record whose `epoch` disagrees with
+/// the frame it carries. Only tag-11 records qualify: a primary of this
+/// build never journals anything else, and catch-up ships a snapshot,
+/// not old records. (A replicated record on a standby is checked the
+/// same way, into an owned [`CheckedDelta`] for the absorber.)
+pub(crate) fn validate_payload(epoch: u64, payload: &[u8]) -> Result<DeltaView<'_>, ()> {
+    let view = DeltaView::validate(payload).map_err(|_| ())?;
+    if view.header().epoch != epoch {
         return Err(());
     }
-    Ok(frame)
+    Ok(view)
 }
 
 /// Write one frame directly on the socket (the client is synchronous:

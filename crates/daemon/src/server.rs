@@ -6,7 +6,7 @@
 //! ```text
 //! ingest accept loop ──spawns──▶ per-connection handler
 //!  (blocks in accept)              ├─ reader (the handler thread):
-//!                                  │    handshake, decode batches,
+//!                                  │    handshake, validate batches,
 //!                                  │    push frame jobs — or, for a
 //!                                  │    standby session, push its
 //!                                  │    attach / ack / gone jobs
@@ -63,10 +63,10 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sbitmap_core::codec::{self, Checkpoint};
-use sbitmap_core::journal::{self, JournalConfig, JournalRecord, JournalWriter};
+use sbitmap_core::codec::Checkpoint;
+use sbitmap_core::journal::{self, JournalConfig, JournalWriter};
 use sbitmap_core::{
-    AbsorbOutcome, CounterKind, FleetArena, FleetDeltaFrame, KeyedEstimates, RateSchedule,
+    AbsorbOutcome, CheckedDelta, CounterKind, FleetArena, KeyedEstimates, RateSchedule,
     SBitmapError, WindowedFleet,
 };
 use sbitmap_stream::net::{
@@ -168,7 +168,7 @@ pub struct DaemonConfig {
     /// Credit window advertised to agents: batch frames an agent may
     /// leave unacked before it must stop sending.
     pub credits: u32,
-    /// Bound of the absorb queue, in decoded frames — the backpressure
+    /// Bound of the absorb queue, in validated frames — the backpressure
     /// knob.
     pub queue_frames: usize,
     /// Per-connection read deadline; doubles as the shutdown-flag poll
@@ -326,7 +326,7 @@ pub struct DaemonReport {
     /// Query requests answered.
     pub queries: u64,
     /// Total sketch-frame bytes received over ingest sessions (the
-    /// payload of every `BatchDelta`, before decoding) — the
+    /// payload of every `BatchDelta`, before validation) — the
     /// number the v3 delta encoding exists to shrink.
     pub bytes_on_wire: u64,
     /// Delta frames rejected because their epoch's round-0 baseline had
@@ -342,7 +342,7 @@ pub struct DaemonReport {
     pub snapshots: u64,
     /// Journal records replayed into the ring during startup recovery.
     pub replayed_records: u64,
-    /// Journal records skipped during recovery (undecodable payloads,
+    /// Journal records skipped during recovery (invalid payloads,
     /// epochs the restored ring cannot accept) — each skip left the
     /// ring untouched.
     pub replay_skipped: u64,
@@ -366,7 +366,7 @@ pub struct DaemonReport {
 
 /// One unit of work queued for the absorber (the single ring writer).
 pub(crate) enum Job {
-    /// A decoded batch frame from an ingest session or, on a standby,
+    /// A validated batch frame from an ingest session or, on a standby,
     /// one record from the primary's replication stream.
     Frame(FrameJob),
     /// Standby catch-up: replace the whole ring with the primary's
@@ -408,16 +408,16 @@ pub(crate) struct PeerLink {
     dropped: AtomicBool,
 }
 
-/// A decoded batch frame queued for the absorber.
+/// A validated batch frame queued for the absorber.
 pub(crate) struct FrameJob {
     pub(crate) epoch: u64,
     pub(crate) agent: u64,
-    /// One round of a v3 delta chain (the wire `round` is validated
-    /// against the frame before queueing).
-    pub(crate) payload: FleetDeltaFrame,
-    /// The frame exactly as it arrived on the wire — what the journal
-    /// records, so replay decodes the same bytes the live path did.
-    pub(crate) wire: Vec<u8>,
+    /// One round of a v3 delta chain, checked on the session's thread
+    /// (the envelope's epoch and round against the frame's too) and
+    /// kept as it arrived on the wire: the absorber ORs it into the
+    /// ring from these bytes, and the journal records them, so replay
+    /// validates the same bytes the live path did.
+    pub(crate) frame: CheckedDelta,
     /// The primary's wire seq when this is a replicated record on a
     /// standby. Such records skip the live delta baseline check (the
     /// primary's journal order already proved the chain, but the
@@ -1000,17 +1000,21 @@ fn read_segment_header(path: &Path) -> Result<Vec<u8>, String> {
 
 /// Replay every staged segment into the ring, record by record. Skips
 /// (counted, ring untouched) anything the restored state cannot accept:
-/// undecodable payloads, resealed records whose inner frame fails its
+/// invalid payloads, resealed records whose inner frame fails its
 /// own checksum, epochs absurdly far ahead. Replay runs before the
 /// first job, so it holds the ring lock uncontended.
 fn replay_journal(shared: &Shared, d: &Durability) {
     for (_, path) in &d.replay {
         // Headers were validated at startup; an unreadable file here is
         // an I/O race (operator deleted it) — skip the segment.
-        let Ok(scan) = journal::read_segment(path) else {
+        let Ok(bytes) = std::fs::read(path) else {
             continue;
         };
-        for rec in &scan.records {
+        let Ok(records) = journal::segment_records(&bytes) else {
+            continue;
+        };
+        // Records are walked where they lie in the segment buffer.
+        for rec in records {
             match replay_record(shared, rec) {
                 Ok(AbsorbOutcome::Absorbed) => {
                     shared
@@ -1029,24 +1033,22 @@ fn replay_journal(shared: &Shared, d: &Durability) {
 }
 
 /// Apply one journal record to the ring. `Err(())` means the record was
-/// skipped (undecodable, resealed, or out of range) and the ring is
+/// skipped (invalid, resealed, or out of range) and the ring is
 /// exactly as it was before the call.
 ///
 /// Journals written before full-frame ingest was retired may still hold
 /// tag-9 `sketch-fleet` records; they replay as whole-epoch absorbs.
-fn replay_record(shared: &Shared, rec: &JournalRecord) -> Result<AbsorbOutcome, ()> {
-    // Decode before taking the ring lock, the way the live path does:
+fn replay_record(shared: &Shared, rec: journal::RecordRef<'_>) -> Result<AbsorbOutcome, ()> {
+    // Validate before taking the ring lock, the way the live path does:
     // the ring only ever sees validated frames. `Err` carries a legacy
-    // tag-9 fleet.
-    let legacy = matches!(
-        codec::peek_kind(&rec.payload),
-        Ok((_, CounterKind::SketchFleet))
-    );
+    // tag-9 fleet, told apart by its header bytes (the restore checks
+    // the whole frame).
+    let legacy = rec.payload.get(4..6) == Some(&[2, CounterKind::SketchFleet.tag()][..]);
     let payload = if legacy {
-        let fleet: FleetArena = Checkpoint::restore(&rec.payload).map_err(|_| ())?;
+        let fleet: FleetArena = Checkpoint::restore(rec.payload).map_err(|_| ())?;
         Err(fleet)
     } else {
-        Ok(crate::replica::decode_payload(rec)?)
+        Ok(crate::replica::validate_payload(rec.epoch, rec.payload)?)
     };
     let mut ring = lock_ring(&shared.ring);
     let current = ring.current_epoch();
@@ -1061,7 +1063,7 @@ fn replay_record(shared: &Shared, rec: &JournalRecord) -> Result<AbsorbOutcome, 
         // the baseline preceded this delta, but the snapshot may have
         // absorbed (and truncated) its record, so the live baseline
         // check would spuriously refuse the chain.
-        Ok(frame) => ring.absorb_delta_replay(rec.source, &frame),
+        Ok(view) => ring.absorb_delta_view_replay(rec.source, &view),
         Err(fleet) => ring.absorb_epoch_from(rec.source, rec.epoch, &fleet),
     }
     .map_err(|_| ())
@@ -1088,11 +1090,7 @@ fn journal_absorbed(
 ) -> Result<Vec<u8>, String> {
     d.absorbed += 1;
     crash_if(shared, CrashSite::AbsorbBeforeJournal, d.absorbed);
-    let encoded = journal::encode_record(&JournalRecord {
-        source: job.agent,
-        epoch: job.epoch,
-        payload: job.wire.clone(),
-    });
+    let encoded = journal::encode_record_parts(job.agent, job.epoch, job.frame.bytes());
     if let Some(cp) = shared.cfg.crash_point {
         if cp.site == CrashSite::MidJournalAppend && cp.after == d.absorbed {
             // Write half the record, then die: recovery must discard
@@ -1249,16 +1247,19 @@ impl Holds {
         let seq = self.next_seq;
         let mut waits = Vec::new();
         let mut dead = Vec::new();
-        if let Some(record) = &record {
+        let has_record = record.is_some();
+        if let Some(record) = record {
             let term = shared.term();
-            for p in &mut self.peers {
+            // Every peer but the last gets a copy; the last gets the image.
+            let images = std::iter::repeat_n(record, self.peers.len());
+            for (p, record) in self.peers.iter_mut().zip(images) {
                 p.next_wire += 1;
                 let sent = p.fifo.len() < REPL_PIPELINE
                     && p.out
                         .send(Message::Replicate {
                             seq: p.next_wire,
                             term,
-                            record: record.clone(),
+                            record,
                         })
                         .is_ok();
                 if sent {
@@ -1274,7 +1275,7 @@ impl Holds {
             seq,
             msg,
             ack,
-            record: record.is_some(),
+            record: has_record,
             shipped_at: Instant::now(),
             waits,
         });
@@ -1521,10 +1522,11 @@ fn absorb_frame(
             // Replicated records ride the replay path: the primary's
             // journal order already proved the delta chain, and the
             // baseline may live only inside the catch-up snapshot here.
+            let view = job.frame.view();
             let absorbed = if job.repl_seq.is_some() {
-                ring.absorb_delta_replay(job.agent, &job.payload)
+                ring.absorb_delta_view_replay(job.agent, &view)
             } else {
-                ring.absorb_delta_from(job.agent, &job.payload)
+                ring.absorb_delta_view(job.agent, &view)
             };
             match absorbed {
                 Ok(outcome) => {
@@ -1547,7 +1549,7 @@ fn absorb_frame(
                         Some(seq) => Message::ReplicateAck { seq, term },
                         None => Message::AckDelta {
                             epoch: job.epoch,
-                            round: job.payload.round,
+                            round: job.frame.header().round,
                             outcome,
                             term,
                         },
@@ -1610,11 +1612,11 @@ fn absorb_frame(
                 }
             }
         } else if want_ship {
-            record = Some(journal::encode_record(&JournalRecord {
-                source: job.agent,
-                epoch: job.epoch,
-                payload: job.wire.clone(),
-            }));
+            record = Some(journal::encode_record_parts(
+                job.agent,
+                job.epoch,
+                job.frame.bytes(),
+            ));
         }
     }
     // Every ack is held in absorb order, so per-session ack order
@@ -1806,7 +1808,7 @@ fn handshake(
     Some((agent, role))
 }
 
-/// One ingest connection: handshake, then decode batches into absorb
+/// One ingest connection: handshake, then validate batches into absorb
 /// jobs until EOF, desync, idle timeout or drain.
 fn ingest_conn(shared: &Arc<Shared>, stream: TcpStream, job_tx: &mpsc::SyncSender<Job>) {
     let _ = stream.set_nodelay(true);
@@ -1912,17 +1914,16 @@ fn ingest_session(
     job_tx: &mpsc::SyncSender<Job>,
     agent: u64,
 ) {
-    // Queue a decoded payload, blocking on the bounded job queue when
+    // Queue a validated frame, blocking on the bounded job queue when
     // the absorber falls behind — up to the busy deadline, past which
     // the frame is shed with a typed `Busy` answer (overload must not
     // stall a socket forever). Returns `None` when the daemon side is
     // gone and the session should end, else whether the frame was shed.
-    let enqueue = |epoch: u64, payload: FleetDeltaFrame, wire: Vec<u8>| -> Option<bool> {
+    let enqueue = |epoch: u64, frame: CheckedDelta| -> Option<bool> {
         let mut job = Job::Frame(FrameJob {
             epoch,
             agent,
-            payload,
-            wire,
+            frame,
             repl_seq: None,
             ack: out_tx.clone(),
         });
@@ -1998,9 +1999,9 @@ fn ingest_session(
                     });
                     continue;
                 }
-                match FleetDeltaFrame::decode(&frame) {
-                    Ok(delta) if delta.epoch == epoch && delta.round == round => {
-                        match enqueue(epoch, delta, frame) {
+                match CheckedDelta::new(frame) {
+                    Ok(delta) if delta.header().epoch == epoch && delta.header().round == round => {
+                        match enqueue(epoch, delta) {
                             Some(dropped) => shed = dropped,
                             None => return,
                         }
@@ -2014,7 +2015,8 @@ fn ingest_session(
                             context: epoch,
                             detail: format!(
                                 "envelope says epoch {epoch} round {round}, frame says epoch {} round {}",
-                                delta.epoch, delta.round
+                                delta.header().epoch,
+                                delta.header().round
                             ),
                         });
                     }

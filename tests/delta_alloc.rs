@@ -1,10 +1,15 @@
-//! Allocation bounds of the flat v3 delta frame, measured with a
-//! counting global allocator.
+//! Allocation bounds of the v3 delta path, measured with a counting
+//! global allocator.
 //!
-//! - `decode` of an N-record frame makes the same small number of
-//!   allocations for every N, never grows one, and allocates at most a
-//!   constant times the wire length in bytes — also for hostile frames,
-//!   which must never drive per-record scratch of a stride's size.
+//! - `DeltaView::validate` allocates nothing, for valid and hostile
+//!   frames alike (a refusal carries a static message).
+//! - Applying a validated view onto a warmed ring — keys present, guard
+//!   not growing — allocates nothing.
+//! - `decode` of an N-record frame makes at most three allocations for
+//!   every N (one per flat array it needs, sized exactly), never grows
+//!   one, and allocates at most a constant times the wire length in
+//!   bytes — also for hostile frames, which must never drive per-record
+//!   scratch of a stride's size.
 //! - `encode` makes exactly one allocation, sized to the output.
 //! - `push` allocates only when one of the frame's three arrays grows
 //!   geometrically, never per record, and within the same byte bound.
@@ -13,8 +18,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sbitmap::core::codec::MAX_WIRE_M;
-use sbitmap::core::FleetDeltaFrame;
+use sbitmap::core::{AbsorbOutcome, DeltaView, FleetDeltaFrame};
 use sbitmap::hash::{mix64, xxh64};
+use sbitmap::{Checkpoint, WindowedFleet};
 
 struct Counting;
 
@@ -95,6 +101,16 @@ fn frame_of(records: u64) -> FleetDeltaFrame {
     frame
 }
 
+/// Round `round` of a chain over keys `0..records`: each round's images
+/// differ, so later rounds set bits the earlier ones did not.
+fn round_of(records: u64, sampling_bits: u32, round: u32) -> FleetDeltaFrame {
+    let mut frame = FleetDeltaFrame::new(1_000_000, M, sampling_bits, 9, 3, round);
+    for key in 0..records {
+        frame.push(key, &image(key * 3 + u64::from(round)));
+    }
+    frame
+}
+
 #[test]
 fn decode_allocations_are_constant_and_wire_proportional() {
     let mut counts = Vec::new();
@@ -112,9 +128,60 @@ fn decode_allocations_are_constant_and_wire_proportional() {
         drop(frame);
         counts.push(allocs);
     }
+    // Records, spans, run words: an array the frame does not use (no
+    // run words in a one-record sparse frame) is not allocated.
     assert!(
-        counts.iter().all(|&c| c == 3),
+        counts.iter().all(|&c| (1..=3).contains(&c)) && counts[1..].iter().all(|&c| c == 3),
         "allocations per decode by record count: {counts:?}"
+    );
+}
+
+#[test]
+fn validate_allocates_nothing_for_valid_and_hostile_frames() {
+    for n in [0u64, 1, 4, 40, 400] {
+        let bytes = frame_of(n).encode();
+        let (len, allocs, _) = measure(false, || DeltaView::validate(&bytes).unwrap().len());
+        assert_eq!(len, n as usize);
+        assert_eq!(allocs, 0, "{n} records");
+    }
+    for (what, bytes, ok) in hostile_cases() {
+        let (valid, allocs, _) = measure(false, || DeltaView::validate(&bytes).is_ok());
+        assert_eq!(valid, ok, "{what}");
+        assert_eq!(allocs, 0, "{what}");
+    }
+}
+
+#[test]
+fn applying_a_view_onto_a_warmed_ring_allocates_nothing() {
+    let mut ring: WindowedFleet = WindowedFleet::new(1_000_000, M, 9, 2).unwrap();
+    ring.advance_to(3).unwrap();
+    let sampling_bits = ring.schedule().split().sampling_bits();
+    let chain: Vec<Vec<u8>> = (0..3)
+        .map(|round| round_of(40, sampling_bits, round).encode())
+        .collect();
+    let views: Vec<DeltaView<'_>> = chain
+        .iter()
+        .map(|b| DeltaView::validate(b).unwrap())
+        .collect();
+    // Warm: every key gets its slot, the guard its capacity.
+    for view in &views {
+        ring.absorb_delta_view(5, view).unwrap();
+    }
+    let warm = ring.checkpoint();
+    ring.reset_all();
+    let (outcomes, allocs, _) = measure(false, || {
+        views
+            .iter()
+            .map(|view| ring.absorb_delta_view(5, view).unwrap())
+            .collect::<Vec<_>>()
+    });
+    assert!(outcomes.iter().all(|&o| o == AbsorbOutcome::Absorbed));
+    // The outcome vector itself is the only allocation.
+    assert_eq!(allocs, 1, "apply allocated");
+    assert_eq!(
+        ring.checkpoint(),
+        warm,
+        "apply after reset reproduces the ring"
     );
 }
 
@@ -170,8 +237,9 @@ fn hostile(m: u64, count: u64, records: &[u8]) -> Vec<u8> {
     body
 }
 
-#[test]
-fn hostile_frames_never_amplify_past_the_wire_bound() {
+/// Resealed frames that lie about their geometry, and whether each is
+/// in fact valid.
+fn hostile_cases() -> Vec<(&'static str, Vec<u8>, bool)> {
     let m = MAX_WIRE_M as u64;
     // Many one-bit sparse records at the widest m: a dense per-record
     // staging buffer would be m/8 bytes each (~35 000x the wire here).
@@ -221,7 +289,7 @@ fn hostile_frames_never_amplify_past_the_wire_bound() {
     for _ in 0..stride {
         runs.extend_from_slice(&u64::MAX.to_le_bytes());
     }
-    let cases = [
+    vec![
         ("one-bit records", hostile(m, 20_000, &one_bit), true),
         ("lying count", hostile(m, 20_010, &one_bit), false),
         ("lying positions", hostile(m, 20_001, &lying), false),
@@ -237,8 +305,12 @@ fn hostile_frames_never_amplify_past_the_wire_bound() {
             hostile(m, u64::MAX / 13, &empty),
             false,
         ),
-    ];
-    for (what, bytes, ok) in cases {
+    ]
+}
+
+#[test]
+fn hostile_frames_never_amplify_past_the_wire_bound() {
+    for (what, bytes, ok) in hostile_cases() {
         let (decoded, allocs, alloc_bytes) =
             measure(false, || FleetDeltaFrame::decode(&bytes).is_ok());
         assert_eq!(decoded, ok, "{what}");

@@ -1,13 +1,16 @@
-//! The flat v3 delta decoder held to the tree decoder it replaced
-//! (`support/delta_oracle.rs`).
+//! The v3 delta validator and the flat decoder built on it, held to the
+//! tree decoder they replaced (`support/delta_oracle.rs`).
 //!
 //! Seeded random delta chains — sparse- and run-shaped records, tail
 //! words of sub-word `m` — must decode to the same records as the
-//! oracle and, OR-absorbed into a ring, land on the same checkpoint
+//! oracle and, OR-absorbed into a ring from the decoded frame or
+//! straight from the validated wire bytes, land on the same checkpoint
 //! bytes as the oracle's records absorbed as one full frame. Resealed
 //! byte mutations and truncations of those chains must get the same
-//! accept/reject verdict from both decoders, and any frame the ring
-//! refuses, live or on replay, must leave its checkpoint byte-identical.
+//! accept/reject verdict from the validator and both decoders; the wire
+//! absorb must land on the frame absorb's checkpoint, and any frame the
+//! ring refuses, live or on replay, must leave its checkpoint
+//! byte-identical.
 
 #[path = "support/delta_oracle.rs"]
 mod delta_oracle;
@@ -16,7 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sbitmap::core::codec::{self, CounterKind};
-use sbitmap::core::{AbsorbOutcome, FleetDeltaFrame};
+use sbitmap::core::{AbsorbOutcome, DeltaView, FleetDeltaFrame};
 use sbitmap::hash::{mix64, xxh64};
 use sbitmap::{Checkpoint, FleetArena, RateSchedule, WindowedFleet};
 
@@ -135,8 +138,9 @@ fn random_chains_decode_and_absorb_like_the_oracle() {
         let frames = random_chain(&mut rng, m, epoch, &keys, rounds);
         let mut decoded = Vec::new();
         let mut trees = Vec::new();
-        for frame in &frames {
-            let bytes = frame.encode();
+        let wire: Vec<Vec<u8>> = frames.iter().map(FleetDeltaFrame::encode).collect();
+        for (frame, bytes) in frames.iter().zip(&wire) {
+            let bytes = bytes.clone();
             let back = delta_oracle::decode_both(&bytes).unwrap();
             assert_eq!(&back, frame, "case {case}: decode(encode(f)) == f");
             assert_eq!(back.encode(), bytes, "case {case}: canonical re-encode");
@@ -163,6 +167,31 @@ fn random_chains_decode_and_absorb_like_the_oracle() {
             );
         }
         assert_eq!(replay.checkpoint(), expected, "case {case}: replay absorb");
+
+        // The same two orders straight from the wire bytes.
+        let views: Vec<DeltaView<'_>> = wire
+            .iter()
+            .map(|b| DeltaView::validate(b).unwrap())
+            .collect();
+        let mut ring: WindowedFleet = WindowedFleet::with_schedule(schedule(m), SEED, 2).unwrap();
+        ring.advance_to(epoch).unwrap();
+        for v in views.iter().chain(&views) {
+            let _ = ring.absorb_delta_view(1, v).unwrap();
+        }
+        assert_eq!(ring.checkpoint(), expected, "case {case}: live wire absorb");
+        let mut replay: WindowedFleet = WindowedFleet::with_schedule(schedule(m), SEED, 2).unwrap();
+        replay.advance_to(epoch).unwrap();
+        for v in views.iter().rev() {
+            assert_eq!(
+                replay.absorb_delta_view_replay(1, v).unwrap(),
+                AbsorbOutcome::Absorbed
+            );
+        }
+        assert_eq!(
+            replay.checkpoint(),
+            expected,
+            "case {case}: replay wire absorb"
+        );
     }
 }
 
@@ -173,26 +202,54 @@ fn reseal(body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Offer `frame` to a copy of `ring` (whose checkpoint is `before`) on
-/// both absorb paths: a refusal must leave the checkpoint
-/// byte-identical.
-fn absorb_or_untouched(ring: &WindowedFleet, before: &[u8], frame: &FleetDeltaFrame) {
-    let mut live = ring.clone();
-    if live.absorb_delta_from(1, frame).is_err() {
+/// Offer the accepted frame `bytes` (decoded: `frame`) to copies of
+/// `ring` (whose checkpoint is `before`) on both absorb paths, from the
+/// decoded frame and straight from the wire: the two must agree on the
+/// outcome and land on the same checkpoint, and a refusal must leave it
+/// byte-identical to `before`.
+fn absorb_or_untouched(ring: &WindowedFleet, before: &[u8], bytes: &[u8], frame: &FleetDeltaFrame) {
+    let view = DeltaView::validate(bytes).expect("decode accepted the frame");
+    for replay in [false, true] {
+        let (mut decoded, mut wire) = (ring.clone(), ring.clone());
+        let (by_frame, by_view) = if replay {
+            (
+                decoded.absorb_delta_replay(1, frame),
+                wire.absorb_delta_view_replay(1, &view),
+            )
+        } else {
+            (
+                decoded.absorb_delta_from(1, frame),
+                wire.absorb_delta_view(1, &view),
+            )
+        };
         assert_eq!(
-            live.checkpoint(),
-            before,
-            "refused live frame touched the ring"
+            by_frame.as_ref().ok(),
+            by_view.as_ref().ok(),
+            "frame and wire absorb outcomes diverged (replay {replay})"
         );
-    }
-    let mut replay = ring.clone();
-    if replay.absorb_delta_replay(1, frame).is_err() {
+        let after = wire.checkpoint();
         assert_eq!(
-            replay.checkpoint(),
-            before,
-            "refused replay frame touched the ring"
+            decoded.checkpoint(),
+            after,
+            "frame and wire absorb diverged (replay {replay})"
         );
+        if by_view.is_err() {
+            assert_eq!(
+                after, before,
+                "refused frame touched the ring (replay {replay})"
+            );
+        }
     }
+}
+
+/// A ring holding `frames[0]` (a baseline), so later rounds reach the
+/// absorb, and its checkpoint.
+fn baseline_ring(m: usize, frames: &[FleetDeltaFrame]) -> (WindowedFleet, Vec<u8>) {
+    let mut ring: WindowedFleet = WindowedFleet::with_schedule(schedule(m), SEED, 2).unwrap();
+    ring.advance_to(1).unwrap();
+    ring.absorb_delta_from(1, &frames[0]).unwrap();
+    let before = ring.checkpoint();
+    (ring, before)
 }
 
 #[test]
@@ -203,11 +260,7 @@ fn hostile_chain_bytes_keep_verdicts_and_refusals_leave_the_ring_untouched() {
         let m = MS[case as usize % MS.len()];
         let keys: Vec<u64> = (0..1 + rng.below(4)).map(|k| k * 3 + 1).collect();
         let frames = random_chain(&mut rng, m, 1, &keys, 3);
-        // A ring holding the baseline, so later rounds reach the absorb.
-        let mut ring: WindowedFleet = WindowedFleet::with_schedule(schedule(m), SEED, 2).unwrap();
-        ring.advance_to(1).unwrap();
-        ring.absorb_delta_from(1, &frames[0]).unwrap();
-        let before = ring.checkpoint();
+        let (ring, before) = baseline_ring(m, &frames);
         for frame in &frames {
             let bytes = frame.encode();
             let body = &bytes[..bytes.len() - 8];
@@ -215,7 +268,7 @@ fn hostile_chain_bytes_keep_verdicts_and_refusals_leave_the_ring_untouched() {
                 let decoded = delta_oracle::decode_both(evil);
                 verdicts[usize::from(decoded.is_ok())] += 1;
                 if let Ok(f) = decoded {
-                    absorb_or_untouched(&ring, &before, &f);
+                    absorb_or_untouched(&ring, &before, evil, &f);
                 }
             };
             for i in 0..body.len() {
@@ -235,4 +288,47 @@ fn hostile_chain_bytes_keep_verdicts_and_refusals_leave_the_ring_untouched() {
     // Both verdicts are well represented (header mutations such as a
     // new key or seed still decode).
     assert!(verdicts[0] > 1_000 && verdicts[1] > 100, "{verdicts:?}");
+}
+
+#[test]
+fn single_byte_mutations_resealed_keep_verdicts_and_wire_absorbs() {
+    // Every byte of every frame, set to a handful of values and resealed
+    // with a fresh XXH64, so the checksum never hides a body fault: the
+    // validator, both decoders and both absorb paths must agree.
+    let mut rng = Rng(0x0b17e);
+    let mut verdicts = [0usize; 2];
+    for (case, &m) in [63usize, 130, 2_000].iter().enumerate() {
+        let keys: Vec<u64> = (0..3).map(|k| k * 5 + 2).collect();
+        let frames = random_chain(&mut rng, m, 1, &keys, 3);
+        let (ring, before) = baseline_ring(m, &frames);
+        for frame in &frames {
+            let bytes = frame.encode();
+            let body = &bytes[..bytes.len() - 8];
+            for i in 0..body.len() {
+                let b = body[i];
+                for v in [
+                    0,
+                    0xff,
+                    b ^ 0x01,
+                    b ^ 0x80,
+                    b.wrapping_add(1),
+                    b.wrapping_sub(1),
+                ] {
+                    if v == b {
+                        continue;
+                    }
+                    let mut evil = body.to_vec();
+                    evil[i] = v;
+                    let evil = reseal(&evil);
+                    let decoded = delta_oracle::decode_both(&evil);
+                    verdicts[usize::from(decoded.is_ok())] += 1;
+                    if let Ok(f) = decoded {
+                        absorb_or_untouched(&ring, &before, &evil, &f);
+                    }
+                }
+            }
+        }
+        assert!(verdicts[0] > 0, "case {case}: no mutation was refused");
+    }
+    assert!(verdicts[1] > 100, "{verdicts:?}");
 }

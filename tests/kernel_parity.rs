@@ -95,6 +95,186 @@ fn word_kernels_scalar_and_dispatched_agree_on_random_slices() {
 }
 
 #[test]
+fn byte_input_kernels_match_scalar_and_the_word_kernels() {
+    // The v3 wire apply popcounts and ORs delta runs straight from their
+    // little-endian bytes: both tables must agree with each other and
+    // with the word kernels on the decoded words, at every length
+    // (ragged byte tails included for the popcount).
+    let dispatched = WordKernels::dispatched();
+    let scalar = WordKernels::scalar();
+    for case in 0..8u64 {
+        for (a, b) in word_cases(case) {
+            let bytes: Vec<u8> = b.iter().flat_map(|w| w.to_le_bytes()).collect();
+            for cut in [0, 1, 7, 9, 31, 33]
+                .into_iter()
+                .filter(|&c| c <= bytes.len())
+            {
+                let ragged = &bytes[cut..];
+                assert_eq!(
+                    dispatched.popcount_bytes(ragged),
+                    scalar.popcount_bytes(ragged),
+                    "popcount_bytes case {case} len {} cut {cut}",
+                    b.len()
+                );
+            }
+            assert_eq!(scalar.popcount_bytes(&bytes), scalar.popcount(&b));
+            let (mut da, mut sa, mut wa) = (a.clone(), a.clone(), a.clone());
+            let dn = dispatched.union_or_count_bytes(&mut da, &bytes);
+            let sn = scalar.union_or_count_bytes(&mut sa, &bytes);
+            let wn = scalar.union_or_count(&mut wa, &b);
+            assert_eq!(
+                (&da, dn),
+                (&sa, sn),
+                "union_or_count_bytes case {case} len {}",
+                a.len()
+            );
+            assert_eq!((da, dn), (wa, wn), "bytes vs words case {case}");
+        }
+    }
+}
+
+/// One plain LEB128 gap at `at`: `(gap, next)`.
+fn plain_gap(bytes: &[u8], mut at: usize) -> Option<(u32, usize)> {
+    let (mut gap, mut shift) = (0u32, 0);
+    loop {
+        let b = *bytes.get(at)?;
+        at += 1;
+        gap |= u32::from(b & 0x7f) << shift;
+        shift += 7;
+        if b & 0x80 == 0 {
+            return Some((gap, at));
+        }
+    }
+}
+
+/// Decode `count` gaps from `bytes` the way the v3 sparse reader does:
+/// the kernel in bulk, a plain LEB128 step wherever it stops.
+fn positions_via(kernels: &WordKernels, bytes: &[u8], count: usize) -> Option<Vec<u32>> {
+    let mut out = Vec::new();
+    let mut buf = [0u32; 72];
+    let (mut at, mut pos) = (1usize, 0u32);
+    while out.len() < count {
+        let limit = (count - out.len()).min(64);
+        let (n, next) = kernels.varint_positions(bytes, at, pos, &mut buf, limit);
+        if n > 0 {
+            out.extend_from_slice(&buf[..n]);
+            pos = buf[n - 1];
+            at = next;
+            continue;
+        }
+        let (gap, next) = plain_gap(bytes, at)?;
+        pos += gap;
+        at = next;
+        out.push(pos);
+    }
+    Some(out)
+}
+
+/// Check `count` gaps the way the v3 validator does: `(checked, next,
+/// sum)` of the kernel's bulk calls until one stops short, the first
+/// stop included.
+fn checked_via(kernels: &WordKernels, bytes: &[u8], count: usize) -> (usize, usize, u64) {
+    let (mut n, mut at, mut sum) = (0usize, 1usize, 0u64);
+    loop {
+        let (more, next, part) = kernels.varint_check(bytes, at, n == 0, count - n);
+        (n, at, sum) = (n + more, next, sum + part);
+        if more == 0 || n == count {
+            return (n, at, sum);
+        }
+    }
+}
+
+/// A sparse-body-shaped byte string behind a one-byte stand-in for the
+/// record head: `count` gaps of one and two bytes mixed at random,
+/// salted with three-byte and over-long varints (and a zero first gap
+/// when `zero_first`), then another record's bytes. Returns the bytes
+/// and the running positions.
+fn sparse_body(g: &mut SplitMix64, count: usize, zero_first: bool) -> (Vec<u8>, Vec<u32>) {
+    let mut bytes = vec![0xff];
+    let mut expect = Vec::new();
+    let mut pos = 0u32;
+    for i in 0..count {
+        let roll = g.next_u64() % 100;
+        let gap = match roll {
+            _ if i == 0 && zero_first => 0,
+            1 => 20_000 + (g.next_u64() % 1_000) as u32,
+            _ if roll < 80 => 1 + (g.next_u64() % 127) as u32,
+            _ => 128 + (g.next_u64() % 16_000) as u32,
+        };
+        if roll == 2 && gap < 128 {
+            // Over-long: a one-byte value in two bytes.
+            bytes.extend_from_slice(&[gap as u8 | 0x80, 0]);
+        } else {
+            let mut v = gap;
+            while v >= 0x80 {
+                bytes.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            bytes.push(v as u8);
+        }
+        pos += gap;
+        expect.push(pos);
+    }
+    bytes.extend((0..g.next_u64() % 40).map(|_| g.next_u64() as u8));
+    (bytes, expect)
+}
+
+#[test]
+fn varint_kernels_decode_and_check_like_a_plain_reader() {
+    // Both tables must decode every body to the plain reader's
+    // positions and check it to the same stop, gap count and sum —
+    // three-byte varints and zero gaps handed back to the plain reader.
+    let dispatched = WordKernels::dispatched();
+    let scalar = WordKernels::scalar();
+    for case in 0..60u64 {
+        let mut g = rng(0x7a21 ^ case);
+        let count = (g.next_u64() % 300) as usize;
+        let (bytes, expect) = sparse_body(&mut g, count, case % 3 == 0);
+        for k in [dispatched, scalar] {
+            assert_eq!(
+                positions_via(k, &bytes, count).as_deref(),
+                Some(&expect[..]),
+                "{} case {case}",
+                k.name()
+            );
+        }
+        let checked = checked_via(scalar, &bytes, count);
+        assert_eq!(
+            checked_via(dispatched, &bytes, count),
+            checked,
+            "case {case}"
+        );
+        // The bulk check covers a prefix of the gaps, and its sum is
+        // that prefix's last position.
+        let (n, _, sum) = checked;
+        assert!(n <= count, "case {case}");
+        if n > 0 {
+            assert_eq!(sum, u64::from(expect[n - 1]), "case {case}");
+        }
+    }
+    // A zero gap past the first stops the check in front of it; a zero
+    // first gap passes when allowed.
+    let mut zeroed = vec![0xff, 0];
+    zeroed.extend_from_slice(&[5; 40]);
+    zeroed.push(0);
+    zeroed.extend_from_slice(&[3; 40]);
+    for k in [dispatched, scalar] {
+        assert_eq!(
+            k.varint_check(&zeroed, 1, true, 81),
+            (41, 42, 200),
+            "{}",
+            k.name()
+        );
+        assert_eq!(
+            k.varint_check(&zeroed, 1, false, 81),
+            (0, 1, 0),
+            "{}",
+            k.name()
+        );
+    }
+}
+
+#[test]
 fn gather_kernel_matches_scalar_and_chained_ors_at_every_source_count() {
     // 0..=10 sources covers every arm of the scalar pairing loop (the
     // `while srcs.len() > 2` reduction plus the 0/1/2-source endings)

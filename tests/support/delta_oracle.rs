@@ -1,15 +1,16 @@
 //! The tree-shaped v3 delta decoder the flat `FleetDeltaFrame` replaced,
 //! kept as a test oracle: a `Vec` per record, per run and per sparse
 //! position list, decoded with the same validation rules in the same
-//! order. The differential suites hold the flat decoder to it byte for
-//! byte — same accept/reject verdict, same records, same ring after
-//! absorb.
+//! order. The differential suites hold the in-place validator
+//! (`DeltaView::validate`) and the flat decoder built on it to it byte
+//! for byte — same accept/reject verdict, same header, same records,
+//! same ring after absorb.
 //!
 //! Several test binaries include this file; each uses part of it.
 #![allow(dead_code)]
 
 use sbitmap::core::codec::{self, CounterKind, MAX_WIRE_M};
-use sbitmap::core::{DeltaBody, FleetDeltaFrame};
+use sbitmap::core::{DeltaBody, DeltaHeader, DeltaView, FleetDeltaFrame};
 
 /// One decoded record body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -266,12 +267,33 @@ pub fn decode(bytes: &[u8]) -> Result<Frame, String> {
     })
 }
 
-/// Decode `bytes` with both decoders and hold them to each other: same
-/// verdict, and on acceptance the same content. Returns the flat
-/// decoder's result.
+/// Decode `bytes` with both decoders, and validate them in place, and
+/// hold all three to each other: same verdict, and on acceptance the
+/// same header and content. Returns the flat decoder's result.
 pub fn decode_both(bytes: &[u8]) -> Result<FleetDeltaFrame, sbitmap::core::SBitmapError> {
     let flat = FleetDeltaFrame::decode(bytes);
+    let view = DeltaView::validate(bytes);
     let tree = decode(bytes);
+    match (&view, &tree) {
+        (Ok(v), Ok(t)) => {
+            let header = DeltaHeader {
+                n_max: t.n_max,
+                m: t.m,
+                sampling_bits: t.sampling_bits,
+                seed: t.seed,
+                epoch: t.epoch,
+                round: t.round,
+            };
+            assert_eq!(v.header(), header, "view header diverged");
+            assert_eq!(v.len(), t.records.len(), "view record count diverged");
+        }
+        (Err(_), Err(_)) => {}
+        (v, t) => panic!(
+            "verdicts diverged: view {:?}, oracle {:?}",
+            v.as_ref().map(|_| ()),
+            t.as_ref().map(|_| ())
+        ),
+    }
     match (&flat, &tree) {
         (Ok(f), Ok(t)) => assert_eq!(&Frame::of(f), t, "decoded content diverged"),
         (Err(_), Err(_)) => {}
