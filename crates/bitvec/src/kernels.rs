@@ -358,47 +358,14 @@ mod scalar {
         newly
     }
 
-    /// Bit 7 of every byte.
-    const HIGH: u64 = 0x8080_8080_8080_8080;
-
-    /// Eight bytes at a time while they hold only one- and two-byte
-    /// varints (no byte load on the chain from one gap to the next),
-    /// then one varint at a time.
     pub(super) fn varint_positions(
         bytes: &[u8],
-        mut at: usize,
-        mut pos: u32,
+        at: usize,
+        pos: u32,
         out: &mut [u32],
         limit: usize,
     ) -> (usize, usize) {
-        let mut k = 0usize;
-        while k + 8 <= out.len() {
-            let Some(chunk) = bytes.get(at..at + 8) else {
-                break;
-            };
-            let w = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-            let cont = w & HIGH;
-            let ends = !w & HIGH;
-            let used = 8 - ends.leading_zeros() / 8;
-            if ends == 0 || cont & (cont << 8) & (u64::MAX >> (64 - 8 * used)) != 0 {
-                break;
-            }
-            let count = (ends >> 7).wrapping_mul(0x0101_0101_0101_0101) >> 56;
-            if k + count as usize > limit {
-                break;
-            }
-            let low = w & (u64::MAX >> (64 - 8 * used));
-            let mut n = k;
-            for j in 0..8 {
-                let second = if j == 0 { 0 } else { (cont >> (8 * j - 1)) & 1 };
-                pos += (((low >> (8 * j)) & 0x7f) << (7 * second)) as u32;
-                out[n] = pos;
-                n += ((ends >> (8 * j + 7)) & 1) as usize;
-            }
-            k = n;
-            at += used as usize;
-        }
-        one_by_one(bytes, pos, &mut out[..limit], k, at)
+        one_by_one(bytes, pos, &mut out[..limit], 0, at)
     }
 
     pub(super) fn varint_check(

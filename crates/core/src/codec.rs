@@ -658,8 +658,8 @@ impl ExactSizeIterator for DeltaRuns<'_> {}
 /// onto a zeroed slot reproduces the epoch's final bitmap bit for bit,
 /// in any arrival order, idempotently. That is what makes the frame
 /// safe under at-least-once delivery and reordering: the receiver
-/// ([`crate::WindowedFleet::absorb_delta_from`]) ORs records straight
-/// onto its ring arena, no full-frame materialization.
+/// ([`crate::WindowedFleet::absorb_delta_view`]) ORs records straight
+/// from the checked wire bytes onto its ring arena, no decoded copy.
 ///
 /// Round 0 is the **baseline reset**: a self-contained image of the
 /// shard's state at the end of the first round, carrying a record for
@@ -952,9 +952,10 @@ impl FleetDeltaFrame {
         view.walk(&mut frame);
         Ok(frame)
     }
+}
 
-    /// The frame's configuration key and position in the round chain.
-    pub fn header(&self) -> DeltaHeader {
+impl DeltaSource for FleetDeltaFrame {
+    fn header(&self) -> DeltaHeader {
         DeltaHeader {
             n_max: self.n_max,
             m: self.m,
@@ -963,12 +964,6 @@ impl FleetDeltaFrame {
             epoch: self.epoch,
             round: self.round,
         }
-    }
-}
-
-impl DeltaSource for FleetDeltaFrame {
-    fn header(&self) -> DeltaHeader {
-        FleetDeltaFrame::header(self)
     }
 
     fn walk(&self, sink: &mut impl DeltaSink) {

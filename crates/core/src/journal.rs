@@ -181,8 +181,7 @@ pub struct RecordRef<'a> {
 }
 
 impl RecordRef<'_> {
-    /// An owned copy.
-    pub fn to_record(&self) -> JournalRecord {
+    fn to_record(self) -> JournalRecord {
         JournalRecord {
             source: self.source,
             epoch: self.epoch,
@@ -397,7 +396,7 @@ pub struct SegmentRecords<'a> {
 impl SegmentRecords<'_> {
     /// Bytes not yet walked: after the walk ends, the torn or corrupt
     /// tail it discarded.
-    pub fn trailing(&self) -> usize {
+    fn trailing(&self) -> usize {
         self.rest.len()
     }
 }
