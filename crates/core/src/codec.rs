@@ -1387,7 +1387,7 @@ fn walk_sparse<const CHECK: bool>(
 
 /// Sparse positions decoded per word-kernel call, and the buffer they
 /// land in (the kernel may write up to seven past the last).
-const POSITIONS_PER_CALL: usize = 64;
+const POSITIONS_PER_CALL: usize = 256;
 const POSITION_BUF: usize = POSITIONS_PER_CALL + 8;
 
 /// Validate `bits` sparse positions: strictly increasing, below `m`.
