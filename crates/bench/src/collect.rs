@@ -11,8 +11,10 @@
 //! The `windowed_delta` lane times the collector's layer of the
 //! windowed deployment's wire path: every shard's v3 delta chain
 //! ([`DeltaFrameSource`]) is cut once, before timing, and the lane
-//! validates each frame in place and ORs it from its wire bytes into
-//! one central ring. Before any timing that ring must be
+//! validates each frame in place, decoding its sparse positions on the
+//! way as the daemon's session threads do, then ORs it into one
+//! central ring: runs from their wire bytes, positions from the
+//! decoded ones. Before any timing that ring must be
 //! **bit-identical** to the codec-free reference
 //! [`run_windowed_pipeline`] — the bench refuses to time an encoding
 //! that changes answers. The uncompressed comparator is computed, not
@@ -149,13 +151,15 @@ fn absorb_chains(
     let mut ring: WindowedFleet =
         WindowedFleet::new(cfg.n_max, cfg.m_bits, cfg.seed, cfg.window).expect("windowed config");
     let (mut frames, mut bytes) = (0, 0);
+    let mut positions = Vec::new();
     for epoch in 0..cfg.epochs {
         ring.advance_to(epoch as u64).expect("epochs ascend");
         for (shard, chain) in chains.iter().enumerate() {
             for delta in &chain[epoch].deltas {
                 frames += 1;
                 bytes += delta.len();
-                let view = DeltaView::validate(delta).expect("own frame validates");
+                let view =
+                    DeltaView::validate_into(delta, &mut positions).expect("own frame validates");
                 let outcome = ring.absorb_delta_view(shard as u64, &view);
                 assert_eq!(
                     outcome.ok(),

@@ -5,10 +5,11 @@
 //! their hot paths as operations over `&[u64]` word slices: popcount a
 //! region, OR one region into another and report the newly set bits, or
 //! accumulate an OR *and* the running popcount in one pass (the fused
-//! window-query kernel). Two of them also take their source as raw
-//! little-endian bytes, so a v3 delta run is popcounted and ORed straight
-//! from the wire with no decoded copy. This module provides each of
-//! those as a pair of bit-identical implementations —
+//! window-query kernel). One OR also takes its source as raw
+//! little-endian bytes, so a v3 delta run is ORed straight from the wire
+//! with no decoded copy, and one kernel decodes a delta's sparse varint
+//! gaps in bulk. This module provides each of those as a pair of
+//! bit-identical implementations —
 //!
 //! * a **scalar** loop (`u64` ops only, every platform), and
 //! * an **AVX2** loop (x86-64, 4 words per vector, nibble-LUT popcount)
@@ -40,12 +41,10 @@ pub struct WordKernels {
     /// `"avx2"` or `"scalar"` — recorded in every `BENCH_*.json` header.
     name: &'static str,
     popcount: fn(&[u64]) -> usize,
-    popcount_bytes: fn(&[u8]) -> usize,
     or_into: fn(&mut [u64], &[u64]),
     union_or_count: fn(&mut [u64], &[u64]) -> usize,
     union_or_count_bytes: fn(&mut [u64], &[u8]) -> usize,
     varint_positions: VarintPositions,
-    varint_check: VarintCheck,
     or_accumulate_popcount: fn(&mut [u64], &[u64]) -> usize,
     or_gather_popcount: fn(&mut [u64], &[&[u64]], bool) -> usize,
 }
@@ -54,19 +53,13 @@ pub struct WordKernels {
 /// [`WordKernels::varint_positions`].
 type VarintPositions = fn(&[u8], usize, u32, &mut [u32], usize) -> (usize, usize);
 
-/// `(bytes, at, first, limit) -> (checked, next, sum)`; see
-/// [`WordKernels::varint_check`].
-type VarintCheck = fn(&[u8], usize, bool, usize) -> (usize, usize, u64);
-
 static SCALAR: WordKernels = WordKernels {
     name: "scalar",
     popcount: scalar::popcount,
-    popcount_bytes: scalar::popcount_bytes,
     or_into: scalar::or_into,
     union_or_count: scalar::union_or_count,
     union_or_count_bytes: scalar::union_or_count_bytes,
     varint_positions: scalar::varint_positions,
-    varint_check: scalar::varint_check,
     or_accumulate_popcount: scalar::or_accumulate_popcount,
     or_gather_popcount: scalar::or_gather_popcount,
 };
@@ -75,12 +68,10 @@ static SCALAR: WordKernels = WordKernels {
 static AVX2: WordKernels = WordKernels {
     name: "avx2",
     popcount: avx2::popcount,
-    popcount_bytes: avx2::popcount_bytes,
     or_into: avx2::or_into,
     union_or_count: avx2::union_or_count,
     union_or_count_bytes: avx2::union_or_count_bytes,
     varint_positions: avx2::varint_positions,
-    varint_check: avx2::varint_check,
     or_accumulate_popcount: avx2::or_accumulate_popcount,
     or_gather_popcount: avx2::or_gather_popcount,
 };
@@ -121,13 +112,6 @@ impl WordKernels {
     #[inline]
     pub fn popcount(&self, words: &[u64]) -> usize {
         (self.popcount)(words)
-    }
-
-    /// Number of one bits across `bytes` (any length; the popcount of a
-    /// word slice's little-endian image equals the slice's popcount).
-    #[inline]
-    pub fn popcount_bytes(&self, bytes: &[u8]) -> usize {
-        (self.popcount_bytes)(bytes)
     }
 
     /// `dst |= src`, word by word.
@@ -173,9 +157,10 @@ impl WordKernels {
 
     /// Decode at most `limit` LEB128 gaps of one or two bytes,
     /// starting at offset `at` of `bytes`, into running positions —
-    /// `out[i]` is `base` plus gaps `0..=i`: the sparse record body of a
-    /// v3 delta frame that [`WordKernels::varint_check`] (or a reader
-    /// as strict) already passed. `out` may be written up to
+    /// `out[i]` is `base` plus gaps `0..=i`: a sparse record body of a
+    /// v3 delta frame. Nothing is judged — a zero gap or a position past
+    /// the bitmap is decoded like any other, for the caller to check.
+    /// `out` may be written up to
     /// `limit + 7`, as room allows. Stops early, leaving the rest to a
     /// byte-by-byte reader, at a varint longer than two bytes and within
     /// the last bytes of `bytes`; where exactly differs between the
@@ -201,29 +186,6 @@ impl WordKernels {
             "varint_positions: limit past the output"
         );
         (self.varint_positions)(bytes, at, base, out, limit)
-    }
-
-    /// Check at most `limit` LEB128 gaps, starting at offset `at` of
-    /// `bytes`, without decoding them one by one: each must be one or
-    /// two bytes and non-zero (the first may be zero when `first` is
-    /// set). Stops early, leaving the rest to a byte-by-byte reader, at
-    /// a longer varint, a zero gap or the last bytes of `bytes`. Returns
-    /// the gaps checked, the offset after them and their sum — the
-    /// last position, counted from the one before them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is past the end of `bytes`.
-    #[inline]
-    pub fn varint_check(
-        &self,
-        bytes: &[u8],
-        at: usize,
-        first: bool,
-        limit: usize,
-    ) -> (usize, usize, u64) {
-        assert!(at <= bytes.len(), "varint_check: offset past the bytes");
-        (self.varint_check)(bytes, at, first, limit)
     }
 
     /// The fused window-query kernel: `acc |= src` and the popcount of
@@ -279,6 +241,23 @@ pub fn popcount_slice(words: &[u64]) -> usize {
     WordKernels::dispatched().popcount(words)
 }
 
+/// Number of one bits across `bytes` (any length; the popcount of a
+/// word slice's little-endian image equals the slice's popcount). One
+/// portable loop with no table entry: it validates a v3 delta frame's
+/// runs, a few hundred words per frame.
+pub fn popcount_bytes(bytes: &[u8]) -> usize {
+    let mut chunks = bytes.chunks_exact(8);
+    let words: usize = (&mut chunks)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")).count_ones() as usize)
+        .sum();
+    words
+        + chunks
+            .remainder()
+            .iter()
+            .map(|b| b.count_ones() as usize)
+            .sum::<usize>()
+}
+
 /// [`WordKernels::or_into`] on the dispatched table.
 #[inline]
 pub fn or_into(dst: &mut [u64], src: &[u64]) {
@@ -319,19 +298,6 @@ mod scalar {
         words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    pub(super) fn popcount_bytes(bytes: &[u8]) -> usize {
-        let mut chunks = bytes.chunks_exact(8);
-        let words: usize = (&mut chunks)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")).count_ones() as usize)
-            .sum();
-        words
-            + chunks
-                .remainder()
-                .iter()
-                .map(|b| b.count_ones() as usize)
-                .sum::<usize>()
-    }
-
     pub(super) fn or_into(dst: &mut [u64], src: &[u64]) {
         for (d, &s) in dst.iter_mut().zip(src) {
             *d |= s;
@@ -358,42 +324,58 @@ mod scalar {
         newly
     }
 
+    /// Eight bytes at a time with no branch per varint: a byte adds its
+    /// seven value bits to the running position, shifted by seven when
+    /// it follows a continuation byte, and every byte with its top bit
+    /// clear ends a varint and writes the position to the next slot
+    /// (the slot only advances past it then, so other bytes' writes are
+    /// overwritten).
     pub(super) fn varint_positions(
         bytes: &[u8],
-        at: usize,
-        pos: u32,
+        mut at: usize,
+        mut pos: u32,
         out: &mut [u32],
         limit: usize,
     ) -> (usize, usize) {
-        one_by_one(bytes, pos, &mut out[..limit], 0, at)
-    }
-
-    pub(super) fn varint_check(
-        bytes: &[u8],
-        mut at: usize,
-        mut first: bool,
-        limit: usize,
-    ) -> (usize, usize, u64) {
-        let (mut n, mut sum) = (0usize, 0u64);
-        while n < limit {
-            let Some(&[b0, b1]) = bytes.get(at..at + 2) else {
-                break;
-            };
-            if b0 & b1 & 0x80 != 0 {
-                break;
-            }
-            let two = b0 >> 7;
-            let gap =
-                u64::from(b0 & 0x7f) | (u64::from(b1 & 0x7f) << 7) & u64::from(two).wrapping_neg();
-            if gap == 0 && !first {
+        let mut k = 0usize;
+        // Whether the byte before the stride is a continuation byte.
+        let mut carry = 0u32;
+        while k + 8 <= out.len() && at + 8 <= bytes.len() {
+            let word = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+            // The top bit of every byte, gathered into one byte.
+            let cont =
+                ((word & 0x8080_8080_8080_8080).wrapping_mul(0x0002_0408_1020_4081) >> 56) as u32;
+            let count = 8 - cont.count_ones() as usize;
+            // A stride is taken whole: no varint of three bytes or more
+            // (a continuation byte after another), every varint that
+            // ends in it wanted, and when the last wanted one ends in
+            // it, so must the stride (the next bytes are another
+            // record's).
+            if cont & (cont << 1 | carry) != 0
+                || k + count > limit
+                || (k + count == limit && cont >> 7 == 1)
+            {
                 break;
             }
-            sum += gap;
-            n += 1;
-            at += 1 + usize::from(two);
-            first = false;
+            let lanes: &mut [u32; 8] = (&mut out[k..k + 8]).try_into().expect("8 lanes");
+            let (mut lane, mut second) = (0usize, carry);
+            for i in 0..8 {
+                let byte = (word >> (8 * i)) as u32 & 0xff;
+                pos += (byte & 0x7f) << (7 * second);
+                lanes[lane & 7] = pos;
+                second = byte >> 7;
+                lane += (second ^ 1) as usize;
+            }
+            k += count;
+            at += 8;
+            carry = cont >> 7;
         }
-        (n, at, sum)
+        // A varint begun in the last stride resumes at its first byte.
+        if carry == 1 {
+            at -= 1;
+            pos -= u32::from(bytes[at] & 0x7f);
+        }
+        one_by_one(bytes, pos, &mut out[..limit], k, at)
     }
 
     /// The one-varint tail of both tables' `varint_positions`: one- and
@@ -498,13 +480,12 @@ mod avx2 {
 
     use std::arch::x86_64::{
         __m128i, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
-        _mm256_blend_epi32, _mm256_cmpeq_epi8, _mm256_cmpgt_epi8, _mm256_cvtepu16_epi32,
-        _mm256_extract_epi32, _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_or_si256,
-        _mm256_permutevar8x32_epi32, _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi64x,
+        _mm256_blend_epi32, _mm256_cvtepu16_epi32, _mm256_extract_epi32, _mm256_loadu_si256,
+        _mm256_or_si256, _mm256_permutevar8x32_epi32, _mm256_sad_epu8, _mm256_set1_epi32,
         _mm256_set1_epi8, _mm256_setr_epi32, _mm256_setr_epi8, _mm256_setzero_si256,
-        _mm256_shuffle_epi8, _mm256_slli_epi64, _mm256_slli_si256, _mm256_srli_epi16,
-        _mm256_storeu_si256, _mm256_sub_epi64, _mm256_xor_si256, _mm_and_si128, _mm_loadu_si128,
-        _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi16, _mm_shuffle_epi8, _mm_srli_epi16,
+        _mm256_shuffle_epi8, _mm256_slli_si256, _mm256_srli_epi16, _mm256_storeu_si256,
+        _mm256_xor_si256, _mm_and_si128, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128,
+        _mm_set1_epi16, _mm_shuffle_epi8, _mm_srli_epi16,
     };
 
     /// Per-64-bit-lane popcount of `v` (Muła's nibble-LUT algorithm).
@@ -542,17 +523,6 @@ mod avx2 {
             total += w.count_ones() as usize;
         }
         total
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn popcount_bytes_impl(bytes: &[u8]) -> usize {
-        let mut chunks = bytes.chunks_exact(32);
-        let mut acc = _mm256_setzero_si256();
-        for c in &mut chunks {
-            let v = _mm256_loadu_si256(c.as_ptr().cast());
-            acc = _mm256_add_epi64(acc, popcnt_epi64(v));
-        }
-        hsum_epi64(acc) + super::scalar::popcount_bytes(chunks.remainder())
     }
 
     #[target_feature(enable = "avx2")]
@@ -753,108 +723,6 @@ mod avx2 {
         super::scalar::one_by_one(bytes, pos, &mut out[..limit], k, at - carry)
     }
 
-    /// [`super::scalar::varint_check`] 32 bytes at a time. Every byte
-    /// with its top bit clear ends a varint wherever the block starts,
-    /// so each block's checks are mask arithmetic on its continuation
-    /// bits (plus the one carried in), and its gap sum is two byte-sum
-    /// reductions: a second byte's bits weigh 128. Only the block where
-    /// the `limit`-th varint ends needs the bytes counted up to it.
-    #[target_feature(enable = "avx2")]
-    unsafe fn varint_check_impl(
-        bytes: &[u8],
-        mut at: usize,
-        first: bool,
-        limit: usize,
-    ) -> (usize, usize, u64) {
-        let mut n = 0usize;
-        let mut exempt = first;
-        // The byte before the block: whether it begins a varint that
-        // ends in the block, its value bits, and whether it has any.
-        let (mut carry, mut carried, mut carried_value) = (0u32, 0u64, 0u32);
-        let low7 = _mm256_set1_epi8(0x7f);
-        let zero = _mm256_setzero_si256();
-        let iota = _mm256_setr_epi8(
-            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23,
-            24, 25, 26, 27, 28, 29, 30, 31,
-        );
-        let mut sums = zero;
-        let mut total = 0u64;
-        while n < limit && at + 32 <= bytes.len() {
-            let v = _mm256_loadu_si256(bytes.as_ptr().add(at).cast());
-            let cont = _mm256_movemask_epi8(v) as u32;
-            let ends = !cont;
-            let low = _mm256_and_si256(v, low7);
-            let valued = !(_mm256_movemask_epi8(_mm256_cmpeq_epi8(low, zero)) as u32);
-            // Bytes that follow a continuation byte: second bytes.
-            let second = cont << 1 | carry;
-            let count = ends.count_ones() as usize;
-            // A cut block holds the `limit`-th varint end: keep the
-            // bytes through it. Else keep all but a last byte that
-            // begins a varint (its value is carried into the next
-            // block, whose first byte ends it).
-            let cut = n + count > limit;
-            let (keep, taken) = if cut {
-                let mut e = ends;
-                for _ in 0..limit - n - 1 {
-                    e &= e - 1;
-                }
-                (u32::MAX >> (31 - e.trailing_zeros()), limit - n)
-            } else {
-                (u32::MAX >> (cont >> 31), count)
-            };
-            // A varint of three bytes or more (in a whole block, also
-            // one whose second byte is the last); a gap with no value
-            // bits in either of its bytes (but the record's first).
-            let long = cont & second & if cut { keep } else { u32::MAX };
-            let mut zero_gaps = ends & !(valued | (valued << 1 | carried_value) & second);
-            if exempt {
-                zero_gaps &= !(ends & ends.wrapping_neg());
-            }
-            if long | zero_gaps & keep != 0 {
-                break;
-            }
-            let kept = _mm256_cmpgt_epi8(_mm256_set1_epi8(keep.count_ones() as i8), iota);
-            let counted = _mm256_and_si256(low, kept);
-            let seconds = _mm256_sad_epu8(_mm256_and_si256(counted, expand(second)), zero);
-            sums = _mm256_add_epi64(sums, _mm256_sad_epu8(counted, zero));
-            sums = _mm256_add_epi64(
-                sums,
-                _mm256_sub_epi64(_mm256_slli_epi64(seconds, 7), seconds),
-            );
-            total += carried;
-            n += taken;
-            exempt &= taken == 0;
-            if cut {
-                at += keep.count_ones() as usize;
-                carry = 0;
-                break;
-            }
-            at += 32;
-            carry = cont >> 31;
-            carried = u64::from(bytes[at - 1] & 0x7f) * u64::from(carry);
-            carried_value = (valued >> 31) & carry;
-        }
-        // A varint begun in the last block resumes at its first byte.
-        at -= carry as usize;
-        let total = total + hsum_epi64(sums) as u64;
-        let (more, at, rest) = super::scalar::varint_check(bytes, at, exempt, limit - n);
-        (n + more, at, total + rest)
-    }
-
-    /// Byte `j` of the result is `0xff` where bit `j` of `mask` is set.
-    #[inline(always)]
-    unsafe fn expand(mask: u32) -> __m256i {
-        let spread = _mm256_shuffle_epi8(
-            _mm256_set1_epi32(mask as i32),
-            _mm256_setr_epi8(
-                0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3,
-                3, 3, 3, 3,
-            ),
-        );
-        let bits = _mm256_set1_epi64x(0x8040_2010_0804_0201u64 as i64);
-        _mm256_cmpeq_epi8(_mm256_and_si256(spread, bits), bits)
-    }
-
     // Safe wrappers with the plain `fn` signature the dispatch table
     // needs. SAFETY (all of them): these symbols are referenced only by the
     // `AVX2` table, which `WordKernels::dispatched` installs exclusively
@@ -863,10 +731,6 @@ mod avx2 {
 
     pub(super) fn popcount(words: &[u64]) -> usize {
         unsafe { popcount_impl(words) }
-    }
-
-    pub(super) fn popcount_bytes(bytes: &[u8]) -> usize {
-        unsafe { popcount_bytes_impl(bytes) }
     }
 
     pub(super) fn or_into(dst: &mut [u64], src: &[u64]) {
@@ -889,15 +753,6 @@ mod avx2 {
         limit: usize,
     ) -> (usize, usize) {
         unsafe { varint_positions_impl(bytes, at, pos, out, limit) }
-    }
-
-    pub(super) fn varint_check(
-        bytes: &[u8],
-        at: usize,
-        first: bool,
-        limit: usize,
-    ) -> (usize, usize, u64) {
-        unsafe { varint_check_impl(bytes, at, first, limit) }
     }
 
     pub(super) fn or_accumulate_popcount(acc: &mut [u64], src: &[u64]) -> usize {
@@ -987,12 +842,6 @@ mod tests {
             assert_eq!(dn, sn, "union_or_count count len {}", a.len());
 
             let b_bytes: Vec<u8> = b.iter().flat_map(|w| w.to_le_bytes()).collect();
-            assert_eq!(
-                d.popcount_bytes(&b_bytes),
-                s.popcount_bytes(&b_bytes),
-                "popcount_bytes len {}",
-                a.len()
-            );
             let (mut da, mut sa) = (a.clone(), a.clone());
             let dn = d.union_or_count_bytes(&mut da, &b_bytes);
             let sn = s.union_or_count_bytes(&mut sa, &b_bytes);
@@ -1039,7 +888,7 @@ mod tests {
             assert_eq!(newly, k.popcount(&expect) - expect_pop);
 
             let b_bytes: Vec<u8> = b.iter().flat_map(|w| w.to_le_bytes()).collect();
-            assert_eq!(k.popcount_bytes(&b_bytes), k.popcount(&b));
+            assert_eq!(popcount_bytes(&b_bytes), k.popcount(&b));
             let mut merged = a.clone();
             assert_eq!(k.union_or_count_bytes(&mut merged, &b_bytes), newly);
             assert_eq!(merged, expect);

@@ -988,7 +988,7 @@ impl<H: Hasher64 + FromSeed> DeltaSink for DeltaApply<'_, H> {
         self.newly += newly;
     }
 
-    fn end(&mut self) {
+    fn end(&mut self, _: usize) {
         self.arena.fills[self.slot] += self.newly;
         self.newly = 0;
     }

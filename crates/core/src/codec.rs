@@ -921,22 +921,23 @@ impl FleetDeltaFrame {
         seal_frame(w.into_inner())
     }
 
-    /// Verify and decode a v3 frame: [`DeltaView::validate`], then copy
-    /// the records into the flat arrays. Validation is the only rule
-    /// set, so decode and the wire-byte absorb path
-    /// ([`crate::WindowedFleet::absorb_delta_view`]) can never disagree
-    /// on a verdict.
+    /// Verify and decode a v3 frame: the checked record walk behind
+    /// [`DeltaView::validate`], filling the flat arrays as it goes.
+    /// Validation is the only rule set, so decode and the wire-byte
+    /// absorb path ([`crate::WindowedFleet::absorb_delta_view`]) can
+    /// never disagree on a verdict.
     ///
-    /// The arrays are sized exactly from what validation counted, so
-    /// decode makes at most three allocations — never more, and never
-    /// proportional to a claimed length.
+    /// The arrays are bounded by the wire bytes left after the record
+    /// heads (a sparse position takes at least one byte, a run word
+    /// eight), so decode makes three allocations reserved up front —
+    /// never more, and never proportional to a claimed length.
     ///
     /// # Errors
     ///
     /// See [`DeltaView::validate`].
     pub fn decode(bytes: &[u8]) -> Result<Self, SBitmapError> {
-        let view = DeltaView::validate(bytes)?;
-        let h = view.header();
+        let (h, count, r) = delta_header(bytes)?;
+        let body_bytes = r.remaining() - count * RECORD_HEAD_LEN;
         let mut frame = Self {
             n_max: h.n_max,
             m: h.m,
@@ -944,12 +945,12 @@ impl FleetDeltaFrame {
             seed: h.seed,
             epoch: h.epoch,
             round: h.round,
-            records: Vec::with_capacity(view.shape.count),
-            spans: Vec::with_capacity(view.shape.spans),
-            words: Vec::with_capacity(view.shape.words),
-            records_len: view.records.len(),
+            records: Vec::with_capacity(count),
+            spans: Vec::with_capacity(body_bytes),
+            words: Vec::with_capacity(body_bytes / 8),
+            records_len: r.remaining(),
         };
-        view.walk(&mut frame);
+        walk_records::<true>(r, h.m, count, None, &mut frame)?;
         Ok(frame)
     }
 }
@@ -977,12 +978,12 @@ impl DeltaSource for FleetDeltaFrame {
                 }
                 DeltaBody::Sparse(positions) => sink.positions(positions),
             }
-            sink.end();
+            sink.end(0);
         }
     }
 }
 
-/// Decode materializes a frame by walking its validated view.
+/// Decode fills a frame from the checked walk.
 impl DeltaSink for FleetDeltaFrame {
     fn key(&mut self, key: u64, bits: u32, runs: bool) {
         self.records.push(RecordHeader {
@@ -1002,7 +1003,7 @@ impl DeltaSink for FleetDeltaFrame {
 
     fn run(&mut self, start: usize, words: RunWords<'_>) {
         let RunWords::Le(raw) = words else {
-            unreachable!("a view hands over wire bytes")
+            unreachable!("a wire walk hands over wire bytes")
         };
         self.spans.extend([start as u32, (raw.len() / 8) as u32]);
         self.words.extend(
@@ -1015,7 +1016,7 @@ impl DeltaSink for FleetDeltaFrame {
         self.spans.extend_from_slice(positions);
     }
 
-    fn end(&mut self) {
+    fn end(&mut self, _: usize) {
         let (hi, word_hi) = (self.spans.len(), self.words.len());
         let h = self.records.last_mut().expect("open record");
         h.hi = hi;
@@ -1062,13 +1063,16 @@ impl RunWords<'_> {
 
 /// What a record walk feeds: for each record, `key` (with the record's
 /// `bits` header and whether it is run-coded), then its runs or its
-/// sparse positions in ascending order, then `end`. Every run lies
-/// inside the stride and every position below `m` of the walked frame.
+/// sparse positions in ascending order, then `end` with the byte length
+/// of the record's body. Every run lies inside the stride and every
+/// position below `m` of the walked frame.
+/// A checked walk feeds a record's pieces as they pass, so a refused
+/// frame may have fed part of itself: its sink is thrown away.
 pub(crate) trait DeltaSink {
     fn key(&mut self, key: u64, bits: u32, runs: bool);
     fn run(&mut self, start: usize, words: RunWords<'_>);
     fn positions(&mut self, positions: &[u32]);
-    fn end(&mut self);
+    fn end(&mut self, body: usize);
 }
 
 /// A delta frame the ring can absorb: a decoded [`FleetDeltaFrame`] or
@@ -1084,24 +1088,65 @@ impl DeltaSink for () {
     fn key(&mut self, _: u64, _: u32, _: bool) {}
     fn run(&mut self, _: usize, _: RunWords<'_>) {}
     fn positions(&mut self, _: &[u32]) {}
-    fn end(&mut self) {}
+    fn end(&mut self, _: usize) {}
 }
 
-/// What validation learned about a frame besides its header: how many
-/// records it carries, and the sparse positions plus run `(start, len)`
-/// entries (`spans`) and run words (`words`) they hold — the exact
-/// sizes [`FleetDeltaFrame::decode`] allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Shape {
-    header: DeltaHeader,
-    count: usize,
-    spans: usize,
-    words: usize,
+/// [`DeltaView::validate_into`] keeps, for each record, its sparse
+/// positions (none for a run-coded one), then the byte length of its
+/// body — so the apply walk steps over a sparse body without reading
+/// it. A checked body fits a `u32`: a sparse one holds at most `m`
+/// gaps of at most ten bytes, a run-coded one at most a stride's words.
+impl DeltaSink for Vec<u32> {
+    fn key(&mut self, _: u64, _: u32, _: bool) {}
+    fn run(&mut self, _: usize, _: RunWords<'_>) {}
+    fn positions(&mut self, positions: &[u32]) {
+        self.extend_from_slice(positions);
+    }
+    fn end(&mut self, body: usize) {
+        self.push(body as u32);
+    }
 }
 
 /// Offset of the first record in a v3 frame: frame header, then payload
 /// header.
 const DELTA_RECORDS_AT: usize = V2_HEADER_LEN + DELTA_HEADER_LEN;
+
+/// Verify a v3 frame's envelope and fixed header: returns the header,
+/// the record count (bounded by the bytes left) and a reader at the
+/// first record.
+fn delta_header(bytes: &[u8]) -> Result<(DeltaHeader, usize, PayloadReader<'_>), SBitmapError> {
+    let f = unframe(bytes)?;
+    if f.kind != CounterKind::FleetDelta {
+        return Err(fail("frame is not a fleet-delta frame"));
+    }
+    let mut r = PayloadReader::new(f.payload);
+    let n_max = r.u64()?;
+    let m = r.len_u64()?;
+    check_wire_m(m)?;
+    if m == 0 {
+        return Err(fail("delta frame declares m = 0"));
+    }
+    let sampling_bits = r.u32()?;
+    let seed = r.u64()?;
+    let epoch = r.u64()?;
+    let round = r.u32()?;
+    if round == u32::MAX {
+        return Err(fail("round index u32::MAX is reserved"));
+    }
+    let count = r.len_u64()?;
+    if count > r.remaining() / RECORD_HEAD_LEN {
+        return Err(fail("record count exceeds the payload"));
+    }
+    let header = DeltaHeader {
+        n_max,
+        m,
+        sampling_bits,
+        seed,
+        epoch,
+        round,
+    };
+    Ok((header, count, r))
+}
 
 /// A v3 fleet-delta frame checked in place: [`DeltaView::validate`]
 /// makes one pass over the wire bytes, allocates nothing, and enforces
@@ -1109,14 +1154,23 @@ const DELTA_RECORDS_AT: usize = V2_HEADER_LEN + DELTA_HEADER_LEN;
 /// from those bytes to the ring
 /// ([`crate::WindowedFleet::absorb_delta_view`]) — an S-bitmap bit only
 /// ever goes from 0 to 1, so the checked bytes already are the absorb
-/// input, and no decoded copy is made.
+/// input, and no decoded copy of the runs is made. A view built by
+/// [`DeltaView::validate_into`] (or [`CheckedDelta::view`]) also
+/// carries the sparse positions its validation decoded, so applying it
+/// only sets bits.
 ///
 /// The header is read off the view without walking the body.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaView<'a> {
-    shape: Shape,
+    header: DeltaHeader,
+    count: usize,
     /// Every record, heads and bodies, as on the wire.
     records: &'a [u8],
+    /// What validation kept (see [`DeltaView::validate_into`]): every
+    /// sparse position and each record's body length, in record order.
+    /// Without it the apply pass decodes the positions again from
+    /// `records`.
+    positions: Option<&'a [u32]>,
 }
 
 impl<'a> DeltaView<'a> {
@@ -1137,67 +1191,61 @@ impl<'a> DeltaView<'a> {
     /// Corrupt frames (see [`unframe`]), a non-v3 frame, or any payload
     /// violation above.
     pub fn validate(bytes: &'a [u8]) -> Result<Self, SBitmapError> {
-        let f = unframe(bytes)?;
-        if f.kind != CounterKind::FleetDelta {
-            return Err(fail("frame is not a fleet-delta frame"));
-        }
-        let mut r = PayloadReader::new(f.payload);
-        let n_max = r.u64()?;
-        let m = r.len_u64()?;
-        check_wire_m(m)?;
-        if m == 0 {
-            return Err(fail("delta frame declares m = 0"));
-        }
-        let sampling_bits = r.u32()?;
-        let seed = r.u64()?;
-        let epoch = r.u64()?;
-        let round = r.u32()?;
-        if round == u32::MAX {
-            return Err(fail("round index u32::MAX is reserved"));
-        }
-        let count = r.len_u64()?;
-        if count > r.remaining() / RECORD_HEAD_LEN {
-            return Err(fail("record count exceeds the payload"));
-        }
-        let records = &f.payload[r.pos..];
-        let (spans, words) = walk_records::<true>(r, m, count, &mut ())?;
+        let (header, count, r) = delta_header(bytes)?;
+        let records = &r.bytes[r.pos..];
+        walk_records::<true>(r, header.m, count, None, &mut ())?;
         Ok(Self {
-            shape: Shape {
-                header: DeltaHeader {
-                    n_max,
-                    m,
-                    sampling_bits,
-                    seed,
-                    epoch,
-                    round,
-                },
-                count,
-                spans,
-                words,
-            },
+            header,
+            count,
             records,
+            positions: None,
+        })
+    }
+
+    /// [`DeltaView::validate`], keeping the sparse positions the pass
+    /// decodes, and each record's body length, in `positions` (cleared
+    /// first; a caller validating many frames reuses it). Applying the
+    /// view then only sets bits and ORs runs — the decoding is done
+    /// here, outside whatever lock the apply runs under.
+    ///
+    /// # Errors
+    ///
+    /// See [`DeltaView::validate`].
+    pub fn validate_into(
+        bytes: &'a [u8],
+        positions: &'a mut Vec<u32>,
+    ) -> Result<Self, SBitmapError> {
+        positions.clear();
+        let (header, count, r) = delta_header(bytes)?;
+        let records = &r.bytes[r.pos..];
+        walk_records::<true>(r, header.m, count, None, positions)?;
+        Ok(Self {
+            header,
+            count,
+            records,
+            positions: Some(positions),
         })
     }
 
     /// The frame's configuration key and position in the round chain.
     pub fn header(&self) -> DeltaHeader {
-        self.shape.header
+        self.header
     }
 
     /// Number of per-key records.
     pub fn len(&self) -> usize {
-        self.shape.count
+        self.count
     }
 
     /// `true` when the frame carries no record.
     pub fn is_empty(&self) -> bool {
-        self.shape.count == 0
+        self.count == 0
     }
 }
 
 impl DeltaSource for DeltaView<'_> {
     fn header(&self) -> DeltaHeader {
-        self.shape.header
+        self.header
     }
 
     /// Hand every record to `sink`, straight from the wire bytes. The
@@ -1206,38 +1254,52 @@ impl DeltaSource for DeltaView<'_> {
     fn walk(&self, sink: &mut impl DeltaSink) {
         walk_records::<false>(
             PayloadReader::new(self.records),
-            self.shape.header.m,
-            self.shape.count,
+            self.header.m,
+            self.count,
+            self.positions,
             sink,
         )
         .expect("a validated frame walks cleanly");
     }
 }
 
-/// An owned v3 frame that passed [`DeltaView::validate`]: the wire bytes
-/// plus what validation read from them. Only validation builds one, so
-/// a consumer on another thread — the daemon's ring writer — applies it
-/// through [`CheckedDelta::view`] without checking again.
+/// An owned v3 frame that passed validation: the wire bytes plus the
+/// sparse positions validation decoded from them
+/// ([`DeltaView::validate_into`]). Only validation builds one, so a
+/// consumer on another thread — the daemon's ring writer — applies it
+/// through [`CheckedDelta::view`] without checking or decoding again.
 #[derive(Debug, Clone)]
 pub struct CheckedDelta {
     bytes: Vec<u8>,
-    shape: Shape,
+    positions: Vec<u32>,
+    header: DeltaHeader,
+    count: usize,
 }
 
 impl CheckedDelta {
-    /// Validate `bytes` (see [`DeltaView::validate`]) and keep them.
+    /// Validate `bytes` (see [`DeltaView::validate_into`]) and keep
+    /// them. What validation keeps is bounded by the frame's bytes — a
+    /// position or a record's body length per byte at most — and
+    /// reserved once.
     ///
     /// # Errors
     ///
     /// See [`DeltaView::validate`].
     pub fn new(bytes: Vec<u8>) -> Result<Self, SBitmapError> {
-        let shape = DeltaView::validate(&bytes)?.shape;
-        Ok(Self { bytes, shape })
+        let mut positions = Vec::with_capacity(bytes.len());
+        let view = DeltaView::validate_into(&bytes, &mut positions)?;
+        let (header, count) = (view.header, view.count);
+        Ok(Self {
+            bytes,
+            positions,
+            header,
+            count,
+        })
     }
 
     /// The frame's configuration key and position in the round chain.
     pub fn header(&self) -> DeltaHeader {
-        self.shape.header
+        self.header
     }
 
     /// The frame exactly as it arrived.
@@ -1245,30 +1307,35 @@ impl CheckedDelta {
         &self.bytes
     }
 
-    /// The validated view of the bytes (no second check).
+    /// The validated view of the bytes, with their decoded positions
+    /// (no second check).
     pub fn view(&self) -> DeltaView<'_> {
         DeltaView {
-            shape: self.shape,
+            header: self.header,
+            count: self.count,
             records: &self.bytes[DELTA_RECORDS_AT..self.bytes.len() - CHECKSUM_LEN],
+            positions: Some(&self.positions),
         }
     }
 }
 
 /// Walk `count` records from `r` into `sink`. With `CHECK`, every rule
-/// of the format is enforced, in a fixed order, and `sink` only ever
-/// sees what passed; without it the bytes must have passed a checked
-/// walk before. Returns the spans and run words the records hold.
+/// of the format is enforced, in a fixed order; without it the bytes
+/// must have passed a checked walk before, and `kept` may hold what
+/// that walk kept (see [`DeltaView::validate_into`]).
 ///
-/// The body bytes (everything past the record heads) bound both: a
-/// sparse position takes at least one of them, a run's `(start, len)`
-/// pair eight, a run word eight. A body that would push either count
-/// past its bound reaches into later records' heads and is refused.
+/// The body bytes (everything past the record heads) bound what the
+/// records hold: a sparse position takes at least one of them, a run's
+/// `(start, len)` pair eight, a run word eight. A body that would push
+/// either count past its bound reaches into later records' heads and is
+/// refused.
 fn walk_records<const CHECK: bool>(
     mut r: PayloadReader<'_>,
     m: usize,
     count: usize,
+    mut kept: Option<&[u32]>,
     sink: &mut impl DeltaSink,
-) -> Result<(usize, usize), SBitmapError> {
+) -> Result<(), SBitmapError> {
     let body_bytes = r.remaining() - count * RECORD_HEAD_LEN;
     let mut budget = Budget {
         spans: body_bytes,
@@ -1289,18 +1356,29 @@ fn walk_records<const CHECK: bool>(
         if !matches!(mode, DELTA_MODE_RUNS | DELTA_MODE_SPARSE) {
             return Err(fail("unknown delta body mode"));
         }
+        let body = r.pos;
         sink.key(key, bits, mode == DELTA_MODE_RUNS);
-        if mode == DELTA_MODE_RUNS {
+        let sparse = if mode == DELTA_MODE_RUNS {
             walk_runs::<CHECK>(&mut r, m, bits, &mut budget, sink)?;
+            0
+        } else if let Some(kept) = kept {
+            let (positions, len) = kept.split_at(bits as usize);
+            sink.positions(positions);
+            r.pos += len[0] as usize;
+            positions.len()
         } else {
             walk_sparse::<CHECK>(&mut r, m, bits, &mut budget, sink)?;
+            0
+        };
+        sink.end(r.pos - body);
+        if let Some(kept) = &mut kept {
+            *kept = &kept[sparse + 1..];
         }
-        sink.end();
     }
     if CHECK {
         r.finish()?;
     }
-    Ok((body_bytes - budget.spans, body_bytes / 8 - budget.words))
+    Ok(())
 }
 
 /// Spans and run words a frame's body bytes can still back.
@@ -1320,10 +1398,12 @@ fn walk_runs<const CHECK: bool>(
     let stride = m.div_ceil(64);
     let runs = r.u32()? as usize;
     // Every run is at least start + len + one word.
-    if CHECK && (runs > r.remaining() / 16 || 2 * runs > budget.spans) {
-        return Err(fail("run count exceeds the payload"));
+    if CHECK {
+        if runs > r.remaining() / 16 || 2 * runs > budget.spans {
+            return Err(fail("run count exceeds the payload"));
+        }
+        budget.spans -= 2 * runs;
     }
-    budget.spans -= 2 * runs;
     let mut cursor = 0usize;
     let mut pop = 0u64;
     for _ in 0..runs {
@@ -1343,8 +1423,8 @@ fn walk_runs<const CHECK: bool>(
             if len > r.remaining() / 8 || len > budget.words {
                 return Err(fail("run length exceeds the payload"));
             }
+            budget.words -= len;
         }
-        budget.words -= len;
         let raw = r.take(len * 8)?;
         if CHECK {
             if cursor == stride && !m.is_multiple_of(64) {
@@ -1353,7 +1433,7 @@ fn walk_runs<const CHECK: bool>(
                     return Err(fail("run sets bits at or beyond m"));
                 }
             }
-            pop += sbitmap_bitvec::kernels::WordKernels::dispatched().popcount_bytes(raw) as u64;
+            pop += sbitmap_bitvec::kernels::popcount_bytes(raw) as u64;
         }
         sink.run(start, RunWords::Le(raw));
     }
@@ -1363,8 +1443,19 @@ fn walk_runs<const CHECK: bool>(
     Ok(())
 }
 
-/// Walk one sparse-mode body: with `CHECK`, validate it (handing
-/// nothing to `sink`); without, hand its positions to `sink`.
+/// Sparse positions decoded per word-kernel call, and the buffer they
+/// land in (the kernel may write up to seven past the last).
+const POSITIONS_PER_CALL: usize = 256;
+const POSITION_BUF: usize = POSITIONS_PER_CALL + 8;
+
+/// Walk one sparse-mode body, handing its positions to `sink` a kernel
+/// call's worth at a time. The word kernel decodes the common one- and
+/// two-byte gaps in bulk; with `CHECK`, a batch passes when its
+/// positions ascend strictly (the record's first may be 0) and its last
+/// is below `m`. The exact one-varint step takes whatever the kernel
+/// leaves — longer varints, the payload's last bytes — and, once a
+/// batch fails, the rest of the record, so it reports the first fault
+/// in order and a hostile record costs one pass.
 fn walk_sparse<const CHECK: bool>(
     r: &mut PayloadReader<'_>,
     m: usize,
@@ -1372,83 +1463,63 @@ fn walk_sparse<const CHECK: bool>(
     budget: &mut Budget,
     sink: &mut impl DeltaSink,
 ) -> Result<(), SBitmapError> {
+    let bits = bits as usize;
     // Every position is at least one varint byte of the body bytes.
-    if CHECK && (bits as usize > r.remaining() || bits as usize > budget.spans) {
-        return Err(fail("position count exceeds the payload"));
-    }
-    budget.spans -= bits as usize;
     if CHECK {
-        check_sparse(r, m as u64, bits)
-    } else {
-        read_sparse(r, bits, sink);
-        Ok(())
+        if bits > r.remaining() || bits > budget.spans {
+            return Err(fail("position count exceeds the payload"));
+        }
+        budget.spans -= bits;
     }
-}
-
-/// Sparse positions decoded per word-kernel call, and the buffer they
-/// land in (the kernel may write up to seven past the last).
-const POSITIONS_PER_CALL: usize = 256;
-const POSITION_BUF: usize = POSITIONS_PER_CALL + 8;
-
-/// Validate `bits` sparse positions: strictly increasing, below `m`.
-/// The word kernel checks the common one- and two-byte gaps in bulk,
-/// summing them (positions ascend, so the last bounds them all); the
-/// one-varint step takes whatever it leaves — longer varints, the
-/// payload's last bytes, a zero gap — and reports every refusal. Once a
-/// bulk sum reaches `m`, the step takes the rest of the record, so a
-/// hostile record costs one pass, not one per gap.
-fn check_sparse(r: &mut PayloadReader<'_>, m: u64, bits: u32) -> Result<(), SBitmapError> {
-    let kernels = sbitmap_bitvec::kernels::WordKernels::dispatched();
-    let mut pos = 0u64;
-    let mut i = 0u32;
-    let mut bulk = true;
-    while i < bits {
-        if bulk {
-            let (n, next, sum) = kernels.varint_check(r.bytes, r.pos, i == 0, (bits - i) as usize);
-            // `pos < m` holds, so this is `pos + sum < m`.
-            if n > 0 && sum < m - pos {
-                pos += sum;
-                i += n as u32;
-                r.pos = next;
-                continue;
-            }
-            bulk = n == 0;
-        }
-        let gap = r.varint()?;
-        if i > 0 && gap == 0 {
-            return Err(fail("sparse positions must be strictly increasing"));
-        }
-        // `pos < m` holds, so this is `pos + gap >= m` without the
-        // overflow.
-        if gap >= m - pos {
-            return Err(fail("sparse position at or beyond m"));
-        }
-        pos += gap;
-        i += 1;
-    }
-    Ok(())
-}
-
-/// Hand `bits` validated sparse positions to `sink`, a kernel call's
-/// worth at a time.
-fn read_sparse(r: &mut PayloadReader<'_>, bits: u32, sink: &mut impl DeltaSink) {
     let kernels = sbitmap_bitvec::kernels::WordKernels::dispatched();
     let mut buf = [0u32; POSITION_BUF];
+    // The last position handed over (0 before the first).
     let mut pos = 0u32;
-    let mut i = 0u32;
+    let mut i = 0usize;
+    let mut bulk = true;
     while i < bits {
-        let room = ((bits - i) as usize).min(POSITIONS_PER_CALL);
-        let (mut n, next) = kernels.varint_positions(r.bytes, r.pos, pos, &mut buf, room);
-        r.pos = next;
+        let mut n = 0;
+        if bulk {
+            let room = (bits - i).min(POSITIONS_PER_CALL);
+            let (k, next) = kernels.varint_positions(r.bytes, r.pos, pos, &mut buf, room);
+            if k > 0 && (!CHECK || ascending(&buf[..k], pos, i == 0) && (buf[k - 1] as usize) < m) {
+                n = k;
+                r.pos = next;
+            }
+            bulk = n > 0 || k == 0;
+        }
         if n == 0 {
-            pos += r.varint().expect("validated varint") as u32;
+            let gap = r.varint()?;
+            if CHECK {
+                if i > 0 && gap == 0 {
+                    return Err(fail("sparse positions must be strictly increasing"));
+                }
+                // `pos < m` holds, so this is `pos + gap >= m` without
+                // the overflow.
+                if gap >= (m - pos as usize) as u64 {
+                    return Err(fail("sparse position at or beyond m"));
+                }
+            }
+            pos += gap as u32;
             buf[0] = pos;
             n = 1;
         }
         pos = buf[n - 1];
-        i += n as u32;
+        i += n;
         sink.positions(&buf[..n]);
     }
+    Ok(())
+}
+
+/// `true` when `positions` ascend strictly from `prev`; with `first`,
+/// the first may equal it (a record's first gap may be zero).
+fn ascending(positions: &[u32], prev: u32, first: bool) -> bool {
+    let repeats: usize = positions
+        .iter()
+        .zip(&positions[1..])
+        .map(|(a, b)| usize::from(a >= b))
+        .sum();
+    repeats == 0 && (first || positions[0] > prev)
 }
 
 // ---------------------------------------------------------------------

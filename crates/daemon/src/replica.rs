@@ -310,13 +310,18 @@ fn wait_done(
 }
 
 /// Validate a journaled record's v3 delta frame in place the same way
-/// the ingest path does, refusing a record whose `epoch` disagrees with
-/// the frame it carries. Only tag-11 records qualify: a primary of this
-/// build never journals anything else, and catch-up ships a snapshot,
-/// not old records. (A replicated record on a standby is checked the
-/// same way, into an owned [`CheckedDelta`] for the absorber.)
-pub(crate) fn validate_payload(epoch: u64, payload: &[u8]) -> Result<DeltaView<'_>, ()> {
-    let view = DeltaView::validate(payload).map_err(|_| ())?;
+/// the ingest path does, its sparse positions decoded into `positions`,
+/// refusing a record whose `epoch` disagrees with the frame it carries.
+/// Only tag-11 records qualify: a primary of this build never journals
+/// anything else, and catch-up ships a snapshot, not old records. (A
+/// replicated record on a standby is checked the same way, into an
+/// owned [`CheckedDelta`] for the absorber.)
+pub(crate) fn validate_payload<'a>(
+    epoch: u64,
+    payload: &'a [u8],
+    positions: &'a mut Vec<u32>,
+) -> Result<DeltaView<'a>, ()> {
+    let view = DeltaView::validate_into(payload, positions).map_err(|_| ())?;
     if view.header().epoch != epoch {
         return Err(());
     }

@@ -1013,9 +1013,11 @@ fn replay_journal(shared: &Shared, d: &Durability) {
         let Ok(records) = journal::segment_records(&bytes) else {
             continue;
         };
-        // Records are walked where they lie in the segment buffer.
+        // Records are walked where they lie in the segment buffer; one
+        // scratch holds each record's decoded sparse positions.
+        let mut positions = Vec::new();
         for rec in records {
-            match replay_record(shared, rec) {
+            match replay_record(shared, rec, &mut positions) {
                 Ok(AbsorbOutcome::Absorbed) => {
                     shared
                         .stats
@@ -1038,7 +1040,11 @@ fn replay_journal(shared: &Shared, d: &Durability) {
 ///
 /// Journals written before full-frame ingest was retired may still hold
 /// tag-9 `sketch-fleet` records; they replay as whole-epoch absorbs.
-fn replay_record(shared: &Shared, rec: journal::RecordRef<'_>) -> Result<AbsorbOutcome, ()> {
+fn replay_record(
+    shared: &Shared,
+    rec: journal::RecordRef<'_>,
+    positions: &mut Vec<u32>,
+) -> Result<AbsorbOutcome, ()> {
     // Validate before taking the ring lock, the way the live path does:
     // the ring only ever sees validated frames. `Err` carries a legacy
     // tag-9 fleet, told apart by its header bytes (the restore checks
@@ -1048,7 +1054,11 @@ fn replay_record(shared: &Shared, rec: journal::RecordRef<'_>) -> Result<AbsorbO
         let fleet: FleetArena = Checkpoint::restore(rec.payload).map_err(|_| ())?;
         Err(fleet)
     } else {
-        Ok(crate::replica::validate_payload(rec.epoch, rec.payload)?)
+        Ok(crate::replica::validate_payload(
+            rec.epoch,
+            rec.payload,
+            positions,
+        )?)
     };
     let mut ring = lock_ring(&shared.ring);
     let current = ring.current_epoch();

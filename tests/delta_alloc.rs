@@ -4,12 +4,12 @@
 //! - `DeltaView::validate` allocates nothing, for valid and hostile
 //!   frames alike (a refusal carries a static message).
 //! - Applying a validated view onto a warmed ring — keys present, guard
-//!   not growing — allocates nothing.
-//! - `decode` of an N-record frame makes at most three allocations for
-//!   every N (one per flat array it needs, sized exactly), never grows
-//!   one, and allocates at most a constant times the wire length in
-//!   bytes — also for hostile frames, which must never drive per-record
-//!   scratch of a stride's size.
+//!   not growing — allocates nothing, whether the view decodes its
+//!   sparse positions as it goes or carries the ones validation kept.
+//! - `decode` of an N-record frame makes the same small number of
+//!   allocations for every N, never grows one, and allocates at most a
+//!   constant times the wire length in bytes — also for hostile frames,
+//!   which must never drive per-record scratch of a stride's size.
 //! - `encode` makes exactly one allocation, sized to the output.
 //! - `push` allocates only when one of the frame's three arrays grows
 //!   geometrically, never per record, and within the same byte bound.
@@ -18,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sbitmap::core::codec::MAX_WIRE_M;
-use sbitmap::core::{AbsorbOutcome, DeltaView, FleetDeltaFrame};
+use sbitmap::core::{AbsorbOutcome, CheckedDelta, DeltaView, FleetDeltaFrame};
 use sbitmap::hash::{mix64, xxh64};
 use sbitmap::{Checkpoint, WindowedFleet};
 
@@ -128,10 +128,8 @@ fn decode_allocations_are_constant_and_wire_proportional() {
         drop(frame);
         counts.push(allocs);
     }
-    // Records, spans, run words: an array the frame does not use (no
-    // run words in a one-record sparse frame) is not allocated.
     assert!(
-        counts.iter().all(|&c| (1..=3).contains(&c)) && counts[1..].iter().all(|&c| c == 3),
+        counts.iter().all(|&c| c == 3),
         "allocations per decode by record count: {counts:?}"
     );
 }
@@ -159,30 +157,39 @@ fn applying_a_view_onto_a_warmed_ring_allocates_nothing() {
     let chain: Vec<Vec<u8>> = (0..3)
         .map(|round| round_of(40, sampling_bits, round).encode())
         .collect();
+    let checked: Vec<CheckedDelta> = chain
+        .iter()
+        .map(|b| CheckedDelta::new(b.clone()).unwrap())
+        .collect();
+    // Views that decode their positions as they apply, and views that
+    // carry the ones validation kept (the daemon's).
     let views: Vec<DeltaView<'_>> = chain
         .iter()
         .map(|b| DeltaView::validate(b).unwrap())
+        .chain(checked.iter().map(CheckedDelta::view))
         .collect();
     // Warm: every key gets its slot, the guard its capacity.
-    for view in &views {
+    for view in &views[..chain.len()] {
         ring.absorb_delta_view(5, view).unwrap();
     }
     let warm = ring.checkpoint();
-    ring.reset_all();
-    let (outcomes, allocs, _) = measure(false, || {
-        views
-            .iter()
-            .map(|view| ring.absorb_delta_view(5, view).unwrap())
-            .collect::<Vec<_>>()
-    });
-    assert!(outcomes.iter().all(|&o| o == AbsorbOutcome::Absorbed));
-    // The outcome vector itself is the only allocation.
-    assert_eq!(allocs, 1, "apply allocated");
-    assert_eq!(
-        ring.checkpoint(),
-        warm,
-        "apply after reset reproduces the ring"
-    );
+    for views in views.chunks(chain.len()) {
+        ring.reset_all();
+        let (outcomes, allocs, _) = measure(false, || {
+            views
+                .iter()
+                .map(|view| ring.absorb_delta_view(5, view).unwrap())
+                .collect::<Vec<_>>()
+        });
+        assert!(outcomes.iter().all(|&o| o == AbsorbOutcome::Absorbed));
+        // The outcome vector itself is the only allocation.
+        assert_eq!(allocs, 1, "apply allocated");
+        assert_eq!(
+            ring.checkpoint(),
+            warm,
+            "apply after reset reproduces the ring"
+        );
+    }
 }
 
 #[test]

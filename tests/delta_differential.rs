@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sbitmap::core::codec::{self, CounterKind};
-use sbitmap::core::{AbsorbOutcome, DeltaView, FleetDeltaFrame};
+use sbitmap::core::{AbsorbOutcome, CheckedDelta, DeltaView, FleetDeltaFrame};
 use sbitmap::hash::{mix64, xxh64};
 use sbitmap::{Checkpoint, FleetArena, RateSchedule, WindowedFleet};
 
@@ -168,30 +168,45 @@ fn random_chains_decode_and_absorb_like_the_oracle() {
         }
         assert_eq!(replay.checkpoint(), expected, "case {case}: replay absorb");
 
-        // The same two orders straight from the wire bytes.
-        let views: Vec<DeltaView<'_>> = wire
+        // The same two orders straight from the wire bytes, with the
+        // sparse positions decoded as the views apply and carried from
+        // validation.
+        let checked: Vec<CheckedDelta> = wire
             .iter()
-            .map(|b| DeltaView::validate(b).unwrap())
+            .map(|b| CheckedDelta::new(b.clone()).unwrap())
             .collect();
-        let mut ring: WindowedFleet = WindowedFleet::with_schedule(schedule(m), SEED, 2).unwrap();
-        ring.advance_to(epoch).unwrap();
-        for v in views.iter().chain(&views) {
-            let _ = ring.absorb_delta_view(1, v).unwrap();
-        }
-        assert_eq!(ring.checkpoint(), expected, "case {case}: live wire absorb");
-        let mut replay: WindowedFleet = WindowedFleet::with_schedule(schedule(m), SEED, 2).unwrap();
-        replay.advance_to(epoch).unwrap();
-        for v in views.iter().rev() {
+        let plain = wire.iter().map(|b| DeltaView::validate(b).unwrap());
+        let kept = checked.iter().map(CheckedDelta::view);
+        for (how, views) in [
+            ("plain", plain.collect::<Vec<_>>()),
+            ("kept", kept.collect()),
+        ] {
+            let mut ring: WindowedFleet =
+                WindowedFleet::with_schedule(schedule(m), SEED, 2).unwrap();
+            ring.advance_to(epoch).unwrap();
+            for v in views.iter().chain(&views) {
+                let _ = ring.absorb_delta_view(1, v).unwrap();
+            }
             assert_eq!(
-                replay.absorb_delta_view_replay(1, v).unwrap(),
-                AbsorbOutcome::Absorbed
+                ring.checkpoint(),
+                expected,
+                "case {case}: live wire absorb ({how})"
+            );
+            let mut replay: WindowedFleet =
+                WindowedFleet::with_schedule(schedule(m), SEED, 2).unwrap();
+            replay.advance_to(epoch).unwrap();
+            for v in views.iter().rev() {
+                assert_eq!(
+                    replay.absorb_delta_view_replay(1, v).unwrap(),
+                    AbsorbOutcome::Absorbed
+                );
+            }
+            assert_eq!(
+                replay.checkpoint(),
+                expected,
+                "case {case}: replay wire absorb ({how})"
             );
         }
-        assert_eq!(
-            replay.checkpoint(),
-            expected,
-            "case {case}: replay wire absorb"
-        );
     }
 }
 
@@ -204,12 +219,17 @@ fn reseal(body: &[u8]) -> Vec<u8> {
 
 /// Offer the accepted frame `bytes` (decoded: `frame`) to copies of
 /// `ring` (whose checkpoint is `before`) on both absorb paths, from the
-/// decoded frame and straight from the wire: the two must agree on the
+/// decoded frame and straight from the wire (positions decoded as the
+/// view applies, or carried from validation): all must agree on the
 /// outcome and land on the same checkpoint, and a refusal must leave it
 /// byte-identical to `before`.
 fn absorb_or_untouched(ring: &WindowedFleet, before: &[u8], bytes: &[u8], frame: &FleetDeltaFrame) {
-    let view = DeltaView::validate(bytes).expect("decode accepted the frame");
-    for replay in [false, true] {
+    let checked = CheckedDelta::new(bytes.to_vec()).expect("decode accepted the frame");
+    let plain = DeltaView::validate(bytes).expect("decode accepted the frame");
+    for (view, replay) in [plain, checked.view()]
+        .into_iter()
+        .flat_map(|v| [(v, false), (v, true)])
+    {
         let (mut decoded, mut wire) = (ring.clone(), ring.clone());
         let (by_frame, by_view) = if replay {
             (

@@ -10,7 +10,7 @@
 #![allow(dead_code)]
 
 use sbitmap::core::codec::{self, CounterKind, MAX_WIRE_M};
-use sbitmap::core::{DeltaBody, DeltaHeader, DeltaView, FleetDeltaFrame};
+use sbitmap::core::{CheckedDelta, DeltaBody, DeltaHeader, DeltaView, FleetDeltaFrame};
 
 /// One decoded record body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -274,6 +274,11 @@ pub fn decode_both(bytes: &[u8]) -> Result<FleetDeltaFrame, sbitmap::core::SBitm
     let flat = FleetDeltaFrame::decode(bytes);
     let view = DeltaView::validate(bytes);
     let tree = decode(bytes);
+    assert_eq!(
+        CheckedDelta::new(bytes.to_vec()).map(|c| c.header()).ok(),
+        view.as_ref().ok().map(DeltaView::header),
+        "validation keeping positions diverged"
+    );
     match (&view, &tree) {
         (Ok(v), Ok(t)) => {
             let header = DeltaHeader {
