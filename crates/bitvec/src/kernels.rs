@@ -160,12 +160,11 @@ impl WordKernels {
     /// `out[i]` is `base` plus gaps `0..=i`: a sparse record body of a
     /// v3 delta frame. Nothing is judged — a zero gap or a position past
     /// the bitmap is decoded like any other, for the caller to check.
-    /// `out` may be written up to
-    /// `limit + 7`, as room allows. Stops early, leaving the rest to a
-    /// byte-by-byte reader, at a varint longer than two bytes and within
-    /// the last bytes of `bytes`; where exactly differs between the
-    /// tables, what is decoded does not. Returns the positions decoded
-    /// and the offset after them.
+    /// `out` may be written up to `limit + 7`, as room allows. Stops
+    /// early, leaving the rest to a byte-by-byte reader, at a varint
+    /// longer than two bytes and within the last bytes of `bytes`;
+    /// where exactly differs between the tables, what is decoded does
+    /// not. Returns the positions decoded and the offset after them.
     ///
     /// # Panics
     ///

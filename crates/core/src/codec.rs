@@ -1103,7 +1103,7 @@ impl DeltaSink for Vec<u32> {
         self.extend_from_slice(positions);
     }
     fn end(&mut self, body: usize) {
-        self.push(body as u32);
+        self.push(u32::try_from(body).expect("a checked record body fits a u32"));
     }
 }
 
@@ -1358,21 +1358,25 @@ fn walk_records<const CHECK: bool>(
         }
         let body = r.pos;
         sink.key(key, bits, mode == DELTA_MODE_RUNS);
-        let sparse = if mode == DELTA_MODE_RUNS {
-            walk_runs::<CHECK>(&mut r, m, bits, &mut budget, sink)?;
-            0
-        } else if let Some(kept) = kept {
-            let (positions, len) = kept.split_at(bits as usize);
-            sink.positions(positions);
-            r.pos += len[0] as usize;
-            positions.len()
-        } else {
-            walk_sparse::<CHECK>(&mut r, m, bits, &mut budget, sink)?;
-            0
-        };
+        match (mode, kept) {
+            (DELTA_MODE_RUNS, _) => walk_runs::<CHECK>(&mut r, m, bits, &mut budget, sink)?,
+            (_, Some(kept)) => {
+                let (positions, len) = kept.split_at(bits as usize);
+                sink.positions(positions);
+                r.pos += len[0] as usize;
+            }
+            _ => walk_sparse::<CHECK>(&mut r, m, bits, &mut budget, sink)?,
+        }
         sink.end(r.pos - body);
+        // Step past what was kept for the record: its positions (if
+        // sparse), then its body length.
         if let Some(kept) = &mut kept {
-            *kept = &kept[sparse + 1..];
+            let positions = if mode == DELTA_MODE_RUNS {
+                0
+            } else {
+                bits as usize
+            };
+            *kept = &kept[positions + 1..];
         }
     }
     if CHECK {

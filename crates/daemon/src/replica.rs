@@ -6,13 +6,13 @@
 //! `ReplicateSnapshot` (a full ring checkpoint), then ships every
 //! subsequently journaled record as a `Replicate` frame — the exact
 //! `SBJR` bytes it appended to its own segment. Each record's frame is
-//! validated on the follow thread, routed through the absorber's job
-//! queue (the single-writer discipline is preserved: the replication
-//! client never touches the ring directly), ORed into the ring from its
-//! wire bytes, journaled locally, and only then answered by the
-//! absorber with a `ReplicateAck` carrying the record's seq — so the
-//! primary's "acked ⇒ replicated" guarantee means *durable on the
-//! standby*, not just received.
+//! validated on the follow thread (its sparse positions decoded there),
+//! routed through the absorber's job queue (the single-writer
+//! discipline is preserved: the replication client never touches the
+//! ring directly), ORed into the ring, journaled locally, and only then
+//! answered by the absorber with a `ReplicateAck` carrying the record's
+//! seq — so the primary's "acked ⇒ replicated" guarantee means *durable
+//! on the standby*, not just received.
 //!
 //! Records ride the replay absorb path (`absorb_delta_view_replay`): the
 //! primary's journal order already proved every delta chain, and the

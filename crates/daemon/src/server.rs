@@ -413,9 +413,10 @@ pub(crate) struct FrameJob {
     pub(crate) epoch: u64,
     pub(crate) agent: u64,
     /// One round of a v3 delta chain, checked on the session's thread
-    /// (the envelope's epoch and round against the frame's too) and
-    /// kept as it arrived on the wire: the absorber ORs it into the
-    /// ring from these bytes, and the journal records them, so replay
+    /// (the envelope's epoch and round against the frame's too), its
+    /// sparse positions decoded there, and kept as it arrived on the
+    /// wire: the absorber ORs it into the ring from these bytes and
+    /// those positions, and the journal records the bytes, so replay
     /// validates the same bytes the live path did.
     pub(crate) frame: CheckedDelta,
     /// The primary's wire seq when this is a replicated record on a
