@@ -1263,20 +1263,24 @@ impl DeltaSource for DeltaView<'_> {
     }
 }
 
-/// An owned v3 frame that passed validation: the wire bytes plus the
-/// sparse positions validation decoded from them
+/// A v3 frame that passed validation: its bytes plus the sparse
+/// positions validation decoded from them
 /// ([`DeltaView::validate_into`]). Only validation builds one, so a
 /// consumer on another thread — the daemon's ring writer — applies it
 /// through [`CheckedDelta::view`] without checking or decoding again.
+///
+/// `B` holds the bytes: the live path owns them (`Vec<u8>`, the
+/// default); journal replay borrows them from the segment buffer
+/// (`&[u8]`), so a record crosses to the ring writer without a copy.
 #[derive(Debug, Clone)]
-pub struct CheckedDelta {
-    bytes: Vec<u8>,
+pub struct CheckedDelta<B: AsRef<[u8]> = Vec<u8>> {
+    bytes: B,
     positions: Vec<u32>,
     header: DeltaHeader,
     count: usize,
 }
 
-impl CheckedDelta {
+impl<B: AsRef<[u8]>> CheckedDelta<B> {
     /// Validate `bytes` (see [`DeltaView::validate_into`]) and keep
     /// them. What validation keeps is bounded by the frame's bytes — a
     /// position or a record's body length per byte at most — and
@@ -1285,13 +1289,25 @@ impl CheckedDelta {
     /// # Errors
     ///
     /// See [`DeltaView::validate`].
-    pub fn new(bytes: Vec<u8>) -> Result<Self, SBitmapError> {
-        let mut positions = Vec::with_capacity(bytes.len());
-        let view = DeltaView::validate_into(&bytes, &mut positions)?;
+    pub fn new(bytes: B) -> Result<Self, SBitmapError> {
+        let mut positions = Vec::with_capacity(bytes.as_ref().len());
+        Self::validate_into(bytes, &mut positions)
+    }
+
+    /// [`CheckedDelta::new`] into the caller's `positions` buffer: on
+    /// success the frame takes it (leaving an empty one behind), and
+    /// [`CheckedDelta::into_positions`] hands it back for the next
+    /// frame; on a refusal it stays with the caller.
+    ///
+    /// # Errors
+    ///
+    /// See [`DeltaView::validate`].
+    pub fn validate_into(bytes: B, positions: &mut Vec<u32>) -> Result<Self, SBitmapError> {
+        let view = DeltaView::validate_into(bytes.as_ref(), positions)?;
         let (header, count) = (view.header, view.count);
         Ok(Self {
             bytes,
-            positions,
+            positions: std::mem::take(positions),
             header,
             count,
         })
@@ -1304,18 +1320,24 @@ impl CheckedDelta {
 
     /// The frame exactly as it arrived.
     pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+        self.bytes.as_ref()
     }
 
     /// The validated view of the bytes, with their decoded positions
     /// (no second check).
     pub fn view(&self) -> DeltaView<'_> {
+        let bytes = self.bytes.as_ref();
         DeltaView {
             header: self.header,
             count: self.count,
-            records: &self.bytes[DELTA_RECORDS_AT..self.bytes.len() - CHECKSUM_LEN],
+            records: &bytes[DELTA_RECORDS_AT..bytes.len() - CHECKSUM_LEN],
             positions: Some(&self.positions),
         }
+    }
+
+    /// Give up the frame, returning its positions buffer for reuse.
+    pub fn into_positions(self) -> Vec<u32> {
+        self.positions
     }
 }
 

@@ -31,7 +31,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use sbitmap_core::journal;
-use sbitmap_core::{CheckedDelta, DeltaView};
+use sbitmap_core::CheckedDelta;
 use sbitmap_stream::net::{self, FrameReader, Message, ReadEvent, Role, PROTO_VERSION};
 
 use crate::server::{FrameJob, Job, Shared};
@@ -307,25 +307,6 @@ fn wait_done(
             Err(mpsc::RecvTimeoutError::Disconnected) => return Some(Err("absorber gone".into())),
         }
     }
-}
-
-/// Validate a journaled record's v3 delta frame in place the same way
-/// the ingest path does, its sparse positions decoded into `positions`,
-/// refusing a record whose `epoch` disagrees with the frame it carries.
-/// Only tag-11 records qualify: a primary of this build never journals
-/// anything else, and catch-up ships a snapshot, not old records. (A
-/// replicated record on a standby is checked the same way, into an
-/// owned [`CheckedDelta`] for the absorber.)
-pub(crate) fn validate_payload<'a>(
-    epoch: u64,
-    payload: &'a [u8],
-    positions: &'a mut Vec<u32>,
-) -> Result<DeltaView<'a>, ()> {
-    let view = DeltaView::validate_into(payload, positions).map_err(|_| ())?;
-    if view.header().epoch != epoch {
-        return Err(());
-    }
-    Ok(view)
 }
 
 /// Write one frame directly on the socket (the client is synchronous:

@@ -18,6 +18,9 @@
 //! absorber thread    ◀── bounded sync_channel of jobs
 //!   absorb → journal → ship to standby writers → hold ack → release
 //!   it to the session's writer, in absorb order
+//!   (first, on a restart: journal replay — per segment, a scoped
+//!   validator thread checks records ahead ──sync_channel(4)──▶ the
+//!   absorber applies them in journal order, positions buffers ──▶ back)
 //! replication client (standby only) ──▶ absorber; its ack pump
 //!   thread writes the absorber's `ReplicateAck`s to the primary
 //! ```
@@ -999,11 +1002,39 @@ fn read_segment_header(path: &Path) -> Result<Vec<u8>, String> {
     Ok(header)
 }
 
-/// Replay every staged segment into the ring, record by record. Skips
-/// (counted, ring untouched) anything the restored state cannot accept:
-/// invalid payloads, resealed records whose inner frame fails its
-/// own checksum, epochs absurdly far ahead. Replay runs before the
-/// first job, so it holds the ring lock uncontended.
+/// How many checked records the replay validator may hold ready ahead
+/// of the absorber (the bound of the channel between them).
+const REPLAY_AHEAD: usize = 4;
+
+/// A journal record the replay validator accepted, handed to the
+/// absorber in journal order.
+struct Checked<'a> {
+    source: u64,
+    epoch: u64,
+    payload: Payload<'a>,
+}
+
+enum Payload<'a> {
+    /// A v3 delta validated in place in the segment buffer, its epoch
+    /// checked against the record's.
+    Delta(CheckedDelta<&'a [u8]>),
+    /// A legacy tag-9 `sketch-fleet` record, restored.
+    Fleet(FleetArena),
+}
+
+/// Replay every staged segment into the ring. Skips (counted, ring
+/// untouched) anything the restored state cannot accept: invalid
+/// payloads, resealed records whose inner frame fails its own checksum,
+/// epochs absurdly far ahead. Replay runs before the first job, so it
+/// holds the ring lock uncontended.
+///
+/// Each segment holding records replays in two stages at once: a scoped
+/// validator thread walks the records and checks each one without the
+/// ring (an S-bitmap bit only goes from 0 to 1, so a delta's validity
+/// depends on its bytes alone), and this thread applies what it is
+/// handed, in journal order, through a channel of [`REPLAY_AHEAD`]
+/// records. A refused record crosses as `None` and is counted where it
+/// lies. A validator panic ends the scope with a panic on this thread.
 fn replay_journal(shared: &Shared, d: &Durability) {
     for (_, path) in &d.replay {
         // Headers were validated at startup; an unreadable file here is
@@ -1014,53 +1045,74 @@ fn replay_journal(shared: &Shared, d: &Durability) {
         let Ok(records) = journal::segment_records(&bytes) else {
             continue;
         };
-        // Records are walked where they lie in the segment buffer; one
-        // scratch holds each record's decoded sparse positions.
-        let mut positions = Vec::new();
-        for rec in records {
-            match replay_record(shared, rec, &mut positions) {
-                Ok(AbsorbOutcome::Absorbed) => {
-                    shared
-                        .stats
-                        .replayed_records
-                        .fetch_add(1, Ordering::Relaxed);
+        // A segment with no record spawns no thread.
+        if records.clone().next().is_none() {
+            continue;
+        }
+        let (checked_tx, checked_rx) = mpsc::sync_channel(REPLAY_AHEAD);
+        // Applied deltas send their positions buffers back, so at most
+        // one per record in flight is ever allocated.
+        let (spare_tx, spare_rx) = mpsc::channel::<Vec<u32>>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut positions = Vec::new();
+                for rec in records {
+                    if positions.capacity() == 0 {
+                        positions = spare_rx.try_recv().unwrap_or_default();
+                    }
+                    if checked_tx.send(check_record(rec, &mut positions)).is_err() {
+                        return;
+                    }
                 }
-                // Duplicate/expired replays (stale segments a crash left
-                // behind, records older than the snapshot) are no-ops.
-                Ok(_) | Err(()) => {
-                    shared.stats.replay_skipped.fetch_add(1, Ordering::Relaxed);
+            });
+            for checked in checked_rx {
+                let counter = match checked.as_ref().map(|c| apply_checked(shared, c)) {
+                    Some(Ok(AbsorbOutcome::Absorbed)) => &shared.stats.replayed_records,
+                    // Duplicate/expired replays (stale segments a crash
+                    // left behind, records older than the snapshot) are
+                    // no-ops.
+                    _ => &shared.stats.replay_skipped,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                if let Some(Checked {
+                    payload: Payload::Delta(delta),
+                    ..
+                }) = checked
+                {
+                    let _ = spare_tx.send(delta.into_positions());
                 }
             }
-        }
+        });
     }
 }
 
-/// Apply one journal record to the ring. `Err(())` means the record was
-/// skipped (invalid, resealed, or out of range) and the ring is
-/// exactly as it was before the call.
+/// Check one journal record the way the live path checks a frame, with
+/// no access to the ring: `None` means it is refused. A v3 delta is
+/// validated into `positions`, which it takes when it is accepted.
 ///
 /// Journals written before full-frame ingest was retired may still hold
-/// tag-9 `sketch-fleet` records; they replay as whole-epoch absorbs.
-fn replay_record(
-    shared: &Shared,
-    rec: journal::RecordRef<'_>,
-    positions: &mut Vec<u32>,
-) -> Result<AbsorbOutcome, ()> {
-    // Validate before taking the ring lock, the way the live path does:
-    // the ring only ever sees validated frames. `Err` carries a legacy
-    // tag-9 fleet, told apart by its header bytes (the restore checks
-    // the whole frame).
+/// tag-9 `sketch-fleet` records, told apart by their header bytes (the
+/// restore checks the whole frame); they replay as whole-epoch absorbs.
+/// A primary of this build journals only tag-11 deltas.
+fn check_record<'a>(rec: journal::RecordRef<'a>, positions: &mut Vec<u32>) -> Option<Checked<'a>> {
     let legacy = rec.payload.get(4..6) == Some(&[2, CounterKind::SketchFleet.tag()][..]);
     let payload = if legacy {
-        let fleet: FleetArena = Checkpoint::restore(rec.payload).map_err(|_| ())?;
-        Err(fleet)
+        Payload::Fleet(Checkpoint::restore(rec.payload).ok()?)
     } else {
-        Ok(crate::replica::validate_payload(
-            rec.epoch,
-            rec.payload,
-            positions,
-        )?)
+        let delta = CheckedDelta::validate_into(rec.payload, positions).ok()?;
+        Payload::Delta(Some(delta).filter(|d| d.header().epoch == rec.epoch)?)
     };
+    Some(Checked {
+        source: rec.source,
+        epoch: rec.epoch,
+        payload,
+    })
+}
+
+/// Apply one checked record to the ring. `Err(())` means the record was
+/// skipped (out of range, or refused by the ring) and the ring is
+/// exactly as it was before the call.
+fn apply_checked(shared: &Shared, rec: &Checked<'_>) -> Result<AbsorbOutcome, ()> {
     let mut ring = lock_ring(&shared.ring);
     let current = ring.current_epoch();
     if rec.epoch > current {
@@ -1069,13 +1121,13 @@ fn replay_record(
         }
         ring.advance_to(rec.epoch).map_err(|_| ())?;
     }
-    match payload {
+    match &rec.payload {
         // The replay variant: the journal's causal order guarantees
         // the baseline preceded this delta, but the snapshot may have
         // absorbed (and truncated) its record, so the live baseline
         // check would spuriously refuse the chain.
-        Ok(view) => ring.absorb_delta_view_replay(rec.source, &view),
-        Err(fleet) => ring.absorb_epoch_from(rec.source, rec.epoch, &fleet),
+        Payload::Delta(delta) => ring.absorb_delta_view_replay(rec.source, &delta.view()),
+        Payload::Fleet(fleet) => ring.absorb_epoch_from(rec.source, rec.epoch, fleet),
     }
     .map_err(|_| ())
 }

@@ -220,13 +220,16 @@ fn reseal(body: &[u8]) -> Vec<u8> {
 /// Offer the accepted frame `bytes` (decoded: `frame`) to copies of
 /// `ring` (whose checkpoint is `before`) on both absorb paths, from the
 /// decoded frame and straight from the wire (positions decoded as the
-/// view applies, or carried from validation): all must agree on the
+/// view applies, or carried from validation in owned or borrowed
+/// bytes): all must agree on the
 /// outcome and land on the same checkpoint, and a refusal must leave it
 /// byte-identical to `before`.
 fn absorb_or_untouched(ring: &WindowedFleet, before: &[u8], bytes: &[u8], frame: &FleetDeltaFrame) {
     let checked = CheckedDelta::new(bytes.to_vec()).expect("decode accepted the frame");
+    let borrowed =
+        CheckedDelta::validate_into(bytes, &mut Vec::new()).expect("decode accepted the frame");
     let plain = DeltaView::validate(bytes).expect("decode accepted the frame");
-    for (view, replay) in [plain, checked.view()]
+    for (view, replay) in [plain, checked.view(), borrowed.view()]
         .into_iter()
         .flat_map(|v| [(v, false), (v, true)])
     {

@@ -279,6 +279,17 @@ pub fn decode_both(bytes: &[u8]) -> Result<FleetDeltaFrame, sbitmap::core::SBitm
         view.as_ref().ok().map(DeltaView::header),
         "validation keeping positions diverged"
     );
+    // Borrowed, into a caller's buffer: the same verdict; an accepted
+    // frame takes the buffer and hands it back, a refusal leaves it.
+    let mut positions = Vec::with_capacity(16);
+    let borrowed = CheckedDelta::validate_into(bytes, &mut positions);
+    assert_eq!(
+        borrowed.as_ref().map(CheckedDelta::header).ok(),
+        view.as_ref().ok().map(DeltaView::header),
+        "borrowed validation diverged"
+    );
+    let returned = borrowed.map_or(positions, CheckedDelta::into_positions);
+    assert!(returned.capacity() >= 16, "the positions buffer was lost");
     match (&view, &tree) {
         (Ok(v), Ok(t)) => {
             let header = DeltaHeader {
