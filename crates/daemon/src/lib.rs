@@ -7,9 +7,10 @@
 //! is allowed to fail.
 //!
 //! The crate is std-only (no async runtime): the daemon is a small
-//! accept loop plus thread-per-connection handlers over [`std::net`],
-//! which is both dependency-free and exactly as much concurrency as a
-//! collector for hundreds of links needs.
+//! accept loop plus one thread per concurrent session over
+//! [`std::net`] (a finished session's thread parks for the next
+//! connection), which is both dependency-free and exactly as much
+//! concurrency as a collector for hundreds of links needs.
 //!
 //! * [`server`] — the daemon: handshake with protocol + config echo,
 //!   framed batch ingest into a central

@@ -4,17 +4,24 @@
 //! Concurrency layout (all std threads, no async runtime):
 //!
 //! ```text
-//! ingest accept loop ──spawns──▶ per-connection handler
-//!  (blocks in accept)              ├─ reader (the handler thread):
-//!                                  │    handshake, validate batches,
-//!                                  │    push frame jobs — or, for a
-//!                                  │    standby session, push its
-//!                                  │    attach / ack / gone jobs
-//!                                  └─ writer thread: acks + errors
-//!                                       (standby sessions: snapshot
-//!                                       + replicated records)
-//! query accept loop  ──spawns──▶ per-connection request/reply handler
-//!  (blocks in accept)
+//! ingest accept loop ──hand-off or spawn──▶ session thread
+//!  (blocks in accept)                        ├─ reader (the handler):
+//!                                            │    handshake, validate
+//!                                            │    batches, push frame
+//!                                            │    jobs — or, for a
+//!                                            │    standby session, push
+//!                                            │    its attach / ack /
+//!                                            │    gone jobs
+//!                                            └─ writer thread: acks +
+//!                                                 errors (standby
+//!                                                 sessions: snapshot +
+//!                                                 replicated records)
+//! query accept loop  ──hand-off or spawn──▶ session thread
+//!  (blocks in accept)                          request/reply handler
+//!   the acceptor hands the connection to its listener's parked session
+//!   thread, or spawns one when none is parked; a thread whose handler
+//!   returns parks for the next connection (at most one per listener,
+//!   for at most `idle_limit`; a drain wakes it to exit)
 //! absorber thread    ◀── bounded sync_channel of jobs
 //!   absorb → journal → ship to standby writers → hold ack → release
 //!   it to the session's writer, in absorb order
@@ -297,6 +304,10 @@ struct Stats {
     replica_drops: AtomicU64,
     not_primary_rejects: AtomicU64,
     handler_panics: AtomicU64,
+    session_threads: AtomicU64,
+    /// Session threads parked right now, waiting for a connection (a
+    /// gauge: at most one per listener).
+    parked_threads: AtomicU64,
 }
 
 /// What [`Daemon::join`] returns after a graceful drain.
@@ -365,6 +376,9 @@ pub struct DaemonReport {
     /// them — the ring lock recovers from poisoning because absorbs are
     /// atomic per frame — but a nonzero count is worth alerting on.
     pub handler_panics: u64,
+    /// Session threads the acceptors spawned. A connection handed to a
+    /// parked thread spawns none, so sequential sessions need one.
+    pub session_threads: u64,
 }
 
 /// One unit of work queued for the absorber (the single ring writer).
@@ -755,7 +769,8 @@ impl Daemon {
             t.join().map_err(|_| "accept thread panicked".to_string())?;
         }
         // No new connections past this point; existing handlers observe
-        // the flag within one read deadline.
+        // the flag within one read deadline, and a parked session thread
+        // woke to exit when its acceptor dropped the hand-off.
         let handlers = std::mem::take(
             &mut *self
                 .handlers
@@ -820,21 +835,33 @@ impl Daemon {
             replica_drops: s.replica_drops.load(Ordering::Relaxed),
             not_primary_rejects: s.not_primary_rejects.load(Ordering::Relaxed),
             handler_panics: s.handler_panics.load(Ordering::Relaxed),
+            session_threads: s.session_threads.load(Ordering::Relaxed),
         })
     }
 }
 
-/// Accept until the drain flag flips, spawning one handler per
-/// connection. The loop blocks in `accept`; a drain wakes it with a
+/// Accept until the drain flag flips, serving every connection on a
+/// session thread. The loop blocks in `accept`; a drain wakes it with a
 /// loopback connect ([`Shared::request_drain`]), and any socket accepted
 /// once the flag is set — the wake, or a peer that lost the race with
 /// the drain — is dropped uncounted. `make_handler` builds the
 /// per-connection closure (which captures the shared state and, for
-/// ingest, a queue sender). Each accept first joins the handlers that
-/// have already finished, so the handle list tracks live connections
-/// rather than every connection the daemon ever served; their panics
-/// count toward [`DaemonReport::handler_panics`] like the ones
-/// [`Daemon::join`] finds.
+/// ingest, a queue sender).
+///
+/// A session thread whose handler returns parks for this listener's
+/// next connection ([`session_thread`]), so a one-shot session is served
+/// without a thread spawn and exit around it. The acceptor hands the
+/// handler over with `try_send` on a zero-capacity channel, which lands
+/// only while a thread is blocked in its receive; otherwise it spawns
+/// one. So a connection never waits behind a live session, and there is
+/// still one thread per concurrent session.
+///
+/// Each spawn first joins the session threads that have already
+/// finished, so the handle list tracks live threads (serving or parked)
+/// rather than every one the daemon ever ran; their panics count toward
+/// [`DaemonReport::handler_panics`] like the ones [`Daemon::join`]
+/// finds. Returning drops the hand-off sender, which wakes the parked
+/// thread into exiting.
 fn accept_loop<F, G>(
     shared: &Arc<Shared>,
     listener: &TcpListener,
@@ -844,12 +871,18 @@ fn accept_loop<F, G>(
     F: Fn(Arc<Shared>, TcpStream) -> G,
     G: FnOnce() + Send + 'static,
 {
+    let (handoff, parked) = mpsc::sync_channel::<G>(0);
+    let parked = Arc::new(Mutex::new(parked));
     loop {
         match listener.accept() {
             _ if shared.draining() => return,
             Ok((stream, _)) => {
                 shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                let handler = make_handler(shared.clone(), stream);
+                let handler = match handoff.try_send(make_handler(shared.clone(), stream)) {
+                    Ok(()) => continue,
+                    Err(mpsc::TrySendError::Full(h) | mpsc::TrySendError::Disconnected(h)) => h,
+                };
+                shared.stats.session_threads.fetch_add(1, Ordering::Relaxed);
                 let mut live = handlers
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -858,10 +891,37 @@ fn accept_loop<F, G>(
                     .partition::<Vec<_>, _>(JoinHandle::is_finished);
                 *live = running;
                 join_handlers(done, &shared.stats);
-                live.push(std::thread::spawn(handler));
+                let (shared, parked) = (shared.clone(), parked.clone());
+                live.push(std::thread::spawn(move || {
+                    session_thread(&shared, &parked, handler);
+                }));
             }
             Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
+    }
+}
+
+/// Run `handler`, then park for the listener's next one. At most one
+/// thread per listener parks: the receiver's lock is the slot, and a
+/// thread that finds it taken exits. The parked thread exits when no
+/// connection comes within [`DaemonConfig::idle_limit`], or when its
+/// acceptor has returned (a drain) and the hand-off disconnects. The
+/// lock is released before a handler runs, so a panic there kills only
+/// this thread and never poisons the slot.
+fn session_thread<G: FnOnce()>(shared: &Shared, parked: &Mutex<mpsc::Receiver<G>>, mut handler: G) {
+    loop {
+        handler();
+        if shared.draining() {
+            return;
+        }
+        let next = parked.try_lock().map(|slot| {
+            shared.stats.parked_threads.fetch_add(1, Ordering::Relaxed);
+            let next = slot.recv_timeout(shared.cfg.idle_limit);
+            shared.stats.parked_threads.fetch_sub(1, Ordering::Relaxed);
+            next
+        });
+        let Ok(Ok(next)) = next else { return };
+        handler = next;
     }
 }
 
@@ -2299,6 +2359,182 @@ mod tests {
         let report = daemon.join().unwrap();
         assert_eq!(report.connections, 201);
         assert_eq!(report.handler_panics, 1, "a reaped panic still counts");
+    }
+
+    /// One `query_once` session on a fresh connection.
+    fn ask(daemon: &Daemon, key: u64) -> Result<Message, String> {
+        let s = TcpStream::connect(daemon.query_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_millis(10))).unwrap();
+        crate::agent::query_once(s, &QueryRequest::Estimate(key), Duration::from_secs(2))
+    }
+
+    fn session_threads(daemon: &Daemon) -> u64 {
+        daemon.shared.stats.session_threads.load(Ordering::Relaxed)
+    }
+
+    /// Block until a session thread is parked on the query listener
+    /// (the only listener these tests connect to), so the next session
+    /// starts after the previous one's thread is ready for it. A client
+    /// that reconnects the moment it has its reply can beat the
+    /// previous handler to reading its `Goodbye`, and that connection
+    /// gets a fresh thread.
+    fn wait_parked(daemon: &Daemon) {
+        let start = Instant::now();
+        while daemon.shared.stats.parked_threads.load(Ordering::Relaxed) == 0 {
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "no session thread parked"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn sequential_sessions_reuse_the_parked_thread() {
+        let daemon = Daemon::start(DaemonConfig::default()).unwrap();
+        for _ in 0..50 {
+            assert!(matches!(ask(&daemon, 1), Ok(Message::Reply(_))));
+            wait_parked(&daemon);
+        }
+        daemon.drain();
+        let report = join_within_1s(daemon);
+        assert_eq!(report.connections, 50);
+        assert_eq!(report.queries, 50);
+        assert!(
+            report.session_threads <= 2,
+            "50 sequential sessions spawned {} threads",
+            report.session_threads
+        );
+    }
+
+    #[test]
+    fn a_silent_session_delays_no_other_session() {
+        let daemon = Daemon::start(DaemonConfig::default()).unwrap();
+        let silent = TcpStream::connect(daemon.query_addr()).unwrap();
+        for i in 0..20 {
+            let start = Instant::now();
+            assert!(matches!(ask(&daemon, 1), Ok(Message::Reply(_))));
+            let took = start.elapsed();
+            assert!(
+                took < Duration::from_millis(100),
+                "session {i} took {took:?}"
+            );
+        }
+        // Still open: a read times out instead of finding EOF.
+        silent
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let read = std::io::Read::read(&mut &silent, &mut [0; 16]);
+        assert!(
+            read.as_ref().is_err_and(|e| matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            )),
+            "the silent session ended: {read:?}"
+        );
+        daemon.drain();
+        let report = join_within_1s(daemon);
+        assert_eq!(report.connections, 21);
+        assert_eq!(report.queries, 20);
+    }
+
+    #[test]
+    fn a_panic_on_a_reused_thread_counts_once_and_serving_goes_on() {
+        let daemon = Daemon::start(DaemonConfig {
+            read_deadline: Duration::from_millis(10),
+            panic_on_query: Some(77),
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        for _ in 0..9 {
+            assert!(matches!(ask(&daemon, 1), Ok(Message::Reply(_))));
+            wait_parked(&daemon);
+        }
+        let before = session_threads(&daemon);
+        assert!(ask(&daemon, 77).is_err());
+        assert_eq!(
+            session_threads(&daemon),
+            before,
+            "the 10th session ran on a fresh thread"
+        );
+        for _ in 0..10 {
+            assert!(matches!(ask(&daemon, 1), Ok(Message::Reply(_))));
+        }
+        daemon.drain();
+        let report = join_within_1s(daemon);
+        assert_eq!(report.connections, 20);
+        assert_eq!(report.handler_panics, 1);
+        assert_eq!(report.queries, 20);
+    }
+
+    #[test]
+    fn a_drain_wakes_the_parked_thread() {
+        let daemon = Daemon::start(DaemonConfig::default()).unwrap();
+        assert!(matches!(ask(&daemon, 1), Ok(Message::Reply(_))));
+        wait_parked(&daemon);
+        daemon.drain();
+        let report = join_within_1s(daemon);
+        assert_eq!(report.session_threads, 1);
+    }
+
+    #[test]
+    fn at_most_one_thread_parks_per_listener() {
+        let daemon = Daemon::start(DaemonConfig::default()).unwrap();
+        let live = |daemon: &Daemon| {
+            let handlers = daemon.handlers.lock().unwrap();
+            handlers.iter().filter(|t| !t.is_finished()).count()
+        };
+        // Five concurrent sessions, each on its own spawned thread.
+        let clients: Vec<_> = (0..5)
+            .map(|_| TcpStream::connect(daemon.query_addr()).unwrap())
+            .collect();
+        let start = Instant::now();
+        while session_threads(&daemon) < 5 {
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "5 sessions never started"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // They end together: one thread parks, the other four exit.
+        drop(clients);
+        let start = Instant::now();
+        while live(&daemon) > 1 {
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "{} session threads still live after their sessions ended",
+                live(&daemon)
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        wait_parked(&daemon);
+        assert!(matches!(ask(&daemon, 1), Ok(Message::Reply(_))));
+        daemon.drain();
+        let report = join_within_1s(daemon);
+        assert_eq!(
+            report.session_threads, 5,
+            "the sixth session reused the parked thread"
+        );
+    }
+
+    #[test]
+    fn a_parked_thread_exits_after_the_idle_limit() {
+        let daemon = Daemon::start(DaemonConfig {
+            idle_limit: Duration::from_millis(100),
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        for _ in 0..5 {
+            assert!(matches!(ask(&daemon, 1), Ok(Message::Reply(_))));
+            wait_parked(&daemon);
+        }
+        std::thread::sleep(Duration::from_millis(300));
+        let handlers = daemon.handlers.lock().unwrap();
+        let live = handlers.iter().filter(|t| !t.is_finished()).count();
+        assert_eq!(live, 0, "{live} session threads outlived the idle limit");
+        drop(handlers);
+        daemon.drain();
+        join_within_1s(daemon);
     }
 
     /// `join` on another thread, failing the test (instead of hanging
